@@ -21,8 +21,9 @@
 //
 // The synthetic family scales to estimator stress tests: synth-1k and
 // synth-10k are the canonical 1 000- and 10 000-job points (simulating
-// them takes correspondingly long; the incremental estimator handles
-// them in seconds — see BenchmarkEstimate10kJobs).
+// them takes correspondingly long; the incremental estimator is far
+// faster, but a 10k-job estimate still takes close to a minute — see
+// BenchmarkEstimate10kJobs in hack/bench_baseline.json).
 package main
 
 import (

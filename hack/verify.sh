@@ -83,7 +83,8 @@ coverage_gate() {
 # fuzz_smoke runs the input-boundary fuzzers briefly: the seed corpus
 # plus a few seconds of mutation must finish without a crasher (the
 # never-panic contracts of the trace parser and the serve request
-# decoder).
+# decoder, and the agreement of the fleet's shard key with the serve
+# handler's answer).
 fuzz_smoke() {
     echo "== trace parser fuzz smoke =="
     go test ./internal/calibrate -run '^$' \
@@ -94,6 +95,9 @@ fuzz_smoke() {
     echo "== schedule decoder fuzz smoke =="
     go test ./internal/serve -run '^$' \
         -fuzz '^FuzzDecodeScheduleRequest$' -fuzztime "${FUZZTIME:-5s}"
+    echo "== route key / handler agreement fuzz smoke =="
+    go test ./internal/serve -run '^$' \
+        -fuzz '^FuzzRouteKeyAgreement$' -fuzztime "${FUZZTIME:-5s}"
     echo "== hierarchical allocator fuzz smoke =="
     go test ./internal/sched -run '^$' \
         -fuzz '^FuzzHierarchyAllocate$' -fuzztime "${FUZZTIME:-5s}"

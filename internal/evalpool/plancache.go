@@ -19,6 +19,14 @@ func NewPlanCache() *PlanCache {
 	return &PlanCache{c: NewCache[*statemodel.Plan]()}
 }
 
+// WithCapacity bounds the cache to at most n plans, evicting the least
+// recently used beyond that (n <= 0 leaves it unbounded), and returns
+// the cache.
+func (pc *PlanCache) WithCapacity(n int) *PlanCache {
+	pc.c.WithCapacity(n)
+	return pc
+}
+
 // WithMetrics exports plan_cache_hits / plan_cache_misses counters.
 func (pc *PlanCache) WithMetrics(reg *obs.Registry) *PlanCache {
 	pc.c.WithMetrics(reg, "plan_cache")

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -73,9 +75,6 @@ type Config struct {
 	// Directory resolves peer IDs to URLs (required for fleets larger
 	// than one node).
 	Directory Directory
-	// VirtualNodes is the ring points per node (DefaultVirtualNodes
-	// when <= 0).
-	VirtualNodes int
 	// MaxHops bounds how many owners are tried before the node computes
 	// locally: the owner plus MaxHops-1 fallbacks (default 2).
 	MaxHops int
@@ -85,10 +84,6 @@ type Config struct {
 	// Client issues forwarded requests (default: a dedicated client with
 	// a 30s timeout).
 	Client *http.Client
-	// Observe supplies the metrics registry for the fleet counters
-	// (default: the wrapped server's own registry, so fleet_* counters
-	// show up in its /metrics).
-	Observe obs.Options
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -98,14 +93,7 @@ func (c Config) withDefaults() (Config, error) {
 	if len(c.Peers) == 0 {
 		return c, fmt.Errorf("fleet: Peers is required")
 	}
-	found := false
-	for _, p := range c.Peers {
-		if p == c.NodeID {
-			found = true
-			break
-		}
-	}
-	if !found {
+	if !slices.Contains(c.Peers, c.NodeID) {
 		return c, fmt.Errorf("fleet: NodeID %q is not in Peers", c.NodeID)
 	}
 	if c.MaxHops <= 0 {
@@ -141,16 +129,15 @@ func NewNode(srv *serve.Server, cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Observe.Metrics == nil {
-		cfg.Observe.Metrics = srv.Metrics()
-	}
 	peers := append([]string(nil), cfg.Peers...)
 	sort.Strings(peers) // ring identity is the set, not the flag order
-	ring, err := NewRing(peers, cfg.VirtualNodes)
+	ring, err := NewRing(peers, DefaultVirtualNodes)
 	if err != nil {
 		return nil, err
 	}
-	reg := cfg.Observe.Metrics
+	// The fleet_* counters live in the server's registry, so they show up
+	// in its /metrics.
+	reg := srv.Metrics()
 	n := &Node{
 		cfg:  cfg,
 		ring: ring,
@@ -178,14 +165,14 @@ func NewNode(srv *serve.Server, cfg Config) (*Node, error) {
 func (n *Node) Ring() *Ring { return n.ring }
 
 // Metrics returns the registry holding the fleet_* counters.
-func (n *Node) Metrics() *obs.Registry { return n.cfg.Observe.Metrics }
+func (n *Node) Metrics() *obs.Registry { return n.srv.Metrics() }
 
 // Handler returns the fleet front end: shard routing over the wrapped
 // server's own handler.
 func (n *Node) Handler() http.Handler {
 	local := n.srv.Handler()
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !sharded(r) {
+		if !n.srv.Sharded(r) {
 			local.ServeHTTP(w, r)
 			return
 		}
@@ -196,29 +183,36 @@ func (n *Node) Handler() http.Handler {
 			local.ServeHTTP(w, r)
 			return
 		}
-		body, err := io.ReadAll(r.Body)
-		r.Body.Close()
+		body, err := io.ReadAll(r.Body) // the server closes r.Body
 		if err != nil {
 			http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		key, ok := n.srv.RouteKey(r.URL.Path, body)
+		// lr serves the request locally without decoding the body again.
+		key, lr, ok := n.srv.Prepare(r, body)
 		if !ok {
 			// No shard key — invalid bodies answer the same 4xx everywhere.
 			n.unroutableRequests.Inc()
-			n.serveLocal(local, w, r, body)
+			local.ServeHTTP(w, lr)
 			return
 		}
 		owners := n.ring.Owners(key, n.cfg.MaxHops)
 		for i, owner := range owners {
 			if owner == n.cfg.NodeID {
 				n.localServed.Inc()
-				n.serveLocal(local, w, r, body)
+				local.ServeHTTP(w, lr)
 				return
 			}
 			if i > 0 {
 				n.forwardRetries.Inc()
-				time.Sleep(n.cfg.RetryBackoff)
+				t := time.NewTimer(n.cfg.RetryBackoff)
+				select {
+				case <-r.Context().Done():
+					// The client is gone: no retry, no local compute.
+					t.Stop()
+					return
+				case <-t.C:
+				}
 			}
 			if n.forward(w, r, owner, body) {
 				n.forwarded.Inc()
@@ -229,28 +223,8 @@ func (n *Node) Handler() http.Handler {
 		// Every owner unreachable: degrade to local compute. Slower and
 		// cache-cold, but the request still gets its answer.
 		n.fallbackLocal.Inc()
-		n.serveLocal(local, w, r, body)
+		local.ServeHTTP(w, lr)
 	})
-}
-
-// sharded reports whether the request routes by shard key.
-func sharded(r *http.Request) bool {
-	if r.Method != http.MethodPost {
-		return false
-	}
-	switch r.URL.Path {
-	case "/v1/estimate", "/v1/explain", "/v1/schedule":
-		return true
-	}
-	return false
-}
-
-// serveLocal replays the buffered body into the wrapped server.
-func (n *Node) serveLocal(local http.Handler, w http.ResponseWriter, r *http.Request, body []byte) {
-	r2 := r.Clone(r.Context())
-	r2.Body = io.NopCloser(bytes.NewReader(body))
-	r2.ContentLength = int64(len(body))
-	local.ServeHTTP(w, r2)
 }
 
 // forward proxies the request to the peer and streams the response back
@@ -262,11 +236,7 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, peer string, body
 	if !ok {
 		return false
 	}
-	url := base + r.URL.Path
-	if r.URL.RawQuery != "" {
-		url += "?" + r.URL.RawQuery
-	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(r.Context(), r.Method, base+r.URL.RequestURI(), bytes.NewReader(body))
 	if err != nil {
 		return false
 	}
@@ -277,11 +247,7 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, peer string, body
 		return false
 	}
 	defer resp.Body.Close()
-	for k, vs := range resp.Header {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
-	}
+	maps.Copy(w.Header(), resp.Header)
 	w.WriteHeader(resp.StatusCode)
 	copyFlushing(w, resp.Body)
 	return true

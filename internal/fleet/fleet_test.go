@@ -2,6 +2,7 @@ package fleet_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -224,6 +225,49 @@ func TestFleetPartitionDegradesLocal(t *testing.T) {
 	reg := c.Nodes[0].Node.Metrics()
 	if v := reg.Counter("fleet_fallback_local").Value(); v == 0 {
 		t.Errorf("no fallback-local serves recorded on the surviving node")
+	}
+}
+
+// TestFleetBackoffHonoursCancel: a request whose client is gone stops
+// waiting out the retry backoff at once — it neither retries the next
+// owner nor degrades to computing locally.
+func TestFleetBackoffHonoursCancel(t *testing.T) {
+	const backoff = 2 * time.Second
+	c := fleettest.New(t, 3, fleettest.Options{RetryBackoff: backoff})
+	c.Kill(1)
+
+	// Find a scenario whose dead owner node1 is tried first and whose
+	// fallback is the other live peer, so the entry node0 must back off.
+	var body []byte
+	for i := 1; body == nil; i++ {
+		candidate := []byte(fmt.Sprintf(`{"workflow": "wc", "options": {"micro_gb": %d}}`, i))
+		key, ok := c.Nodes[0].Server.RouteKey("/v1/estimate", candidate)
+		if !ok {
+			t.Fatalf("no route key for candidate %d", i)
+		}
+		if owners := c.Nodes[0].Node.Ring().Owners(key, 2); owners[0] == "node1" && owners[1] == "node2" {
+			body = candidate
+		}
+		if i > 256 {
+			t.Fatal("no scenario owned by node1 then node2 in 256 tries")
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest("POST", "/v1/estimate", bytes.NewReader(body)).WithContext(ctx)
+	start := time.Now()
+	c.Nodes[0].Node.Handler().ServeHTTP(httptest.NewRecorder(), req)
+	if d := time.Since(start); d >= backoff {
+		t.Errorf("cancelled request took %v, want less than the %v backoff", d, backoff)
+	}
+	if v := c.Nodes[0].Node.Metrics().Counter("fleet_fallback_local").Value(); v != 0 {
+		t.Errorf("cancelled request fell back to local compute %d times, want 0", v)
+	}
+	for i, n := range c.Nodes {
+		if v := n.Server.Metrics().Counter("estimates_computed").Value(); v != 0 {
+			t.Errorf("node %d ran the estimator %d times for a cancelled request", i, v)
+		}
 	}
 }
 

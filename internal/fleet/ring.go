@@ -101,9 +101,6 @@ func NewRing(nodes []string, vnodes int) (*Ring, error) {
 	return r, nil
 }
 
-// Nodes returns the ring's node IDs in construction order.
-func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }
-
 // Owner returns the node owning key.
 func (r *Ring) Owner(key string) string { return r.points[r.search(key)].node }
 

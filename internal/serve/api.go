@@ -160,14 +160,9 @@ type VersionResponse struct {
 // range-checked. It never panics on any input (FuzzDecodeEstimateRequest
 // holds that line) and every failure is a typed *APIError.
 func DecodeEstimateRequest(r io.Reader) (*EstimateRequest, *APIError) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var req EstimateRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, decodeError(err)
-	}
-	if err := trailingData(dec); err != nil {
-		return nil, err
+	if apiErr := decodeStrict(r, &req); apiErr != nil {
+		return nil, apiErr
 	}
 	if apiErr := req.validate(); apiErr != nil {
 		return nil, apiErr
@@ -178,14 +173,9 @@ func DecodeEstimateRequest(r io.Reader) (*EstimateRequest, *APIError) {
 // DecodeBatchRequest strictly parses a batch request and validates every
 // scenario, reporting the first invalid one by index.
 func DecodeBatchRequest(r io.Reader, maxScenarios int) (*BatchRequest, *APIError) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var req BatchRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, decodeError(err)
-	}
-	if err := trailingData(dec); err != nil {
-		return nil, err
+	if apiErr := decodeStrict(r, &req); apiErr != nil {
+		return nil, apiErr
 	}
 	if len(req.Scenarios) == 0 {
 		return nil, badRequest("batch needs at least one scenario")
@@ -260,24 +250,25 @@ func decodeError(err error) *APIError {
 	return badRequest("parse request: %v", err)
 }
 
-// trailingData rejects bytes after the first JSON value, so "{}garbage"
-// does not silently pass.
-func trailingData(dec *json.Decoder) *APIError {
+// decodeStrict parses one JSON value into v. Unknown fields (at any
+// nesting level) are rejected, and so are bytes after the value, so
+// "{}garbage" does not silently pass.
+func decodeStrict(r io.Reader, v any) *APIError {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return decodeError(err)
+	}
 	if _, err := dec.Token(); err != io.EOF {
 		return badRequest("trailing data after request body")
 	}
 	return nil
 }
 
-// encodeEstimateResponse renders a plan as the wire response. The output
-// is byte-deterministic: struct field order is fixed and the one map
-// (state parallelism) marshals in encoding/json's sorted-key order.
-func encodeEstimateResponse(plan *statemodel.Plan) ([]byte, error) {
-	return marshalBody(buildEstimateResponse(plan))
-}
-
 // buildEstimateResponse shapes a plan into the wire struct; the SSE
-// stream marshals it compactly while /v1/estimate indents it.
+// stream marshals it compactly while /v1/estimate indents it. The bytes
+// are deterministic: struct field order is fixed and the one map (state
+// parallelism) marshals in encoding/json's sorted-key order.
 func buildEstimateResponse(plan *statemodel.Plan) EstimateResponse {
 	resp := EstimateResponse{
 		Workflow:  plan.Workflow,

@@ -11,17 +11,22 @@ import (
 )
 
 // TestWarmRestart is the disk-backed cache's end-to-end contract: a
-// server that computed an estimate snapshots it, and a fresh server on
-// the same CacheDir answers the same scenario as a cache hit without
-// running the estimator once.
+// server that computed an estimate and a schedule snapshots them, and a
+// fresh server on the same CacheDir answers both as cache hits without
+// running the estimator or the replay once.
 func TestWarmRestart(t *testing.T) {
 	dir := t.TempDir()
 	body := readRequest(t, "estimate_wc_ts")
+	sched := readRequest(t, "schedule_flat")
 
 	s1, ts1 := newTestServer(t, Config{CacheDir: dir})
 	status, first, _ := post(t, ts1.URL+"/v1/estimate", body)
 	if status != http.StatusOK {
 		t.Fatalf("status = %d: %s", status, first)
+	}
+	status, firstSched, _ := post(t, ts1.URL+"/v1/schedule", sched)
+	if status != http.StatusOK {
+		t.Fatalf("schedule status = %d: %s", status, firstSched)
 	}
 	if err := s1.SaveCacheSnapshot(); err != nil {
 		t.Fatalf("SaveCacheSnapshot: %v", err)
@@ -44,6 +49,16 @@ func TestWarmRestart(t *testing.T) {
 	}
 	if hits, _ := s2.CacheStats(); hits != 1 {
 		t.Errorf("first post-restart request counted %d hits, want 1", hits)
+	}
+	status, secondSched, _ := post(t, ts2.URL+"/v1/schedule", sched)
+	if status != http.StatusOK {
+		t.Fatalf("restarted schedule status = %d: %s", status, secondSched)
+	}
+	if string(firstSched) != string(secondSched) {
+		t.Errorf("warm schedule diverged from the original bytes")
+	}
+	if got := s2.Metrics().Counter("schedules_computed").Value(); got != 0 {
+		t.Errorf("restarted server replayed the schedule %d times, want 0", got)
 	}
 }
 

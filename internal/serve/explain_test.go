@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"sync"
 	"testing"
@@ -130,5 +131,27 @@ func TestExplainPlanCacheAcrossRequests(t *testing.T) {
 	if hits, misses := s.plans.Stats(); hits != hits0 || misses != misses0 {
 		t.Errorf("repeat explanation touched the plan cache: %d/%d -> %d/%d",
 			hits0, misses0, hits, misses)
+	}
+}
+
+// TestExplainPlanCacheBounded: the plan cache shares the response cache's
+// size bound, so explaining more distinct scenarios than the bound keeps
+// at most that many plans — and evicting plans changes no response byte.
+func TestExplainPlanCacheBounded(t *testing.T) {
+	const bound = 3
+	s, ts := newTestServer(t, Config{Workers: 2, CacheMaxEntries: bound})
+	_, unbounded := newTestServer(t, Config{Workers: 2, CacheMaxEntries: -1})
+	for gb := 1; gb <= bound+1; gb++ {
+		body := []byte(fmt.Sprintf(`{"workflow": "wc+ts", "options": {"micro_gb": %d}}`, gb))
+		status, got, _ := post(t, ts.URL+"/v1/explain", body)
+		if status != http.StatusOK {
+			t.Fatalf("micro_gb %d: status %d: %s", gb, status, got)
+		}
+		if _, want, _ := post(t, unbounded.URL+"/v1/explain", body); !bytes.Equal(got, want) {
+			t.Errorf("micro_gb %d: bounded server's explanation diverges from the unbounded one's", gb)
+		}
+		if n := s.plans.Len(); n > bound {
+			t.Errorf("after %d scenarios the plan cache holds %d plans, bound %d", gb, n, bound)
+		}
 	}
 }

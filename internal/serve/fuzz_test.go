@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -96,4 +98,45 @@ func TestDecodeStrictness(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzRouteKeyAgreement holds the fleet's routing contract against the
+// handler: on every sharded endpoint a body gets a shard key exactly when
+// the local handler answers it 200. A keyed body may also time out under
+// its own timeout_ms; an unkeyed one always answers with a 4xx that any
+// node would give. Seeded from the canned requests, each on every path.
+func FuzzRouteKeyAgreement(f *testing.F) {
+	paths := []string{"/v1/estimate", "/v1/explain", "/v1/schedule"}
+	seeds, err := filepath.Glob(filepath.Join("testdata", "*.req.json"))
+	if err != nil || len(seeds) == 0 {
+		f.Fatalf("no seed corpus: %v", err)
+	}
+	for _, path := range seeds {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for i := range paths {
+			f.Add(uint8(i), b)
+		}
+	}
+	s, err := New(Config{Workers: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := s.Handler()
+
+	f.Fuzz(func(t *testing.T, p uint8, body []byte) {
+		path := paths[int(p)%len(paths)]
+		_, keyed := s.RouteKey(path, body)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		switch {
+		case keyed && rec.Code == http.StatusGatewayTimeout:
+		case keyed != (rec.Code == http.StatusOK):
+			t.Fatalf("%s: keyed %v but the handler answered %d: %s", path, keyed, rec.Code, rec.Body.Bytes())
+		case !keyed && rec.Code >= 500:
+			t.Fatalf("%s: unkeyed body answered %d: %s", path, rec.Code, rec.Body.Bytes())
+		}
+	})
 }

@@ -1,124 +1,20 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
+	"time"
 
 	"boedag/internal/boe"
 	"boedag/internal/cluster"
 	"boedag/internal/dag"
 	"boedag/internal/evalpool"
 	"boedag/internal/experiments"
-	"boedag/internal/explain"
 	"boedag/internal/obs"
 	"boedag/internal/perfledger"
 	"boedag/internal/statemodel"
 	"boedag/internal/units"
-	"time"
 )
-
-// handleEstimate serves POST /v1/estimate, dispatching ?stream=1 to the
-// SSE variant (stream.go).
-func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	if wantsStream(r) {
-		s.handleEstimateStream(w, r)
-		return
-	}
-	t0 := time.Now()
-	req, apiErr := DecodeEstimateRequest(r.Body)
-	s.phase(r.Context(), "decode", t0, s.phaseDecode)
-	if apiErr != nil {
-		writeError(w, apiErr)
-		return
-	}
-	ctx, cancel := scenarioContext(r.Context(), req)
-	defer cancel()
-	body, apiErr := s.estimate(ctx, req)
-	if apiErr != nil {
-		writeError(w, apiErr)
-		return
-	}
-	writeJSON(w, body)
-}
-
-// handleExplain serves POST /v1/explain: the same request shape as
-// /v1/estimate, answered with the explained estimate — critical path,
-// bottleneck attribution, per-state utilization, θ-sensitivity.
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	req, apiErr := DecodeEstimateRequest(r.Body)
-	s.phase(r.Context(), "decode", t0, s.phaseDecode)
-	if apiErr != nil {
-		writeError(w, apiErr)
-		return
-	}
-	ctx, cancel := scenarioContext(r.Context(), req)
-	defer cancel()
-	body, apiErr := s.explain(ctx, req)
-	if apiErr != nil {
-		writeError(w, apiErr)
-		return
-	}
-	writeJSON(w, body)
-}
-
-// explain resolves one scenario to its explained-estimate bytes.
-// Identical concurrent scenarios coalesce onto one explanation run via
-// the single-flight cache (keyed separately from /v1/estimate), and the
-// run itself memoizes its base and θ-perturbed plans through the
-// server-lifetime plan cache, so explaining a scenario the service
-// already estimated re-runs only the four perturbed estimates — and a
-// repeat explanation re-runs nothing.
-func (s *Server) explain(ctx context.Context, req *EstimateRequest) ([]byte, *APIError) {
-	flow, est, apiErr := s.scenario(req)
-	if apiErr != nil {
-		return nil, apiErr
-	}
-	ran := false
-	compute := func() ([]byte, error) {
-		if s.testHookEstimate != nil {
-			s.testHookEstimate()
-		}
-		ran = true
-		s.explained.Inc()
-		te := time.Now()
-		e, err := explain.Explain(ctx, est, flow, explain.Options{
-			Workers: s.cfg.Workers,
-			Cache:   s.plans,
-		})
-		s.phase(ctx, "explain", te, s.phaseExplain)
-		if err != nil {
-			return nil, err
-		}
-		tn := time.Now()
-		body, err := marshalBody(e)
-		s.phase(ctx, "encode", tn, s.phaseEncode)
-		return body, err
-	}
-	var body []byte
-	var err error
-	if key, ok := evalpool.PlanKey(est, flow); ok {
-		t0 := time.Now()
-		body, err = s.cache.DoContext(ctx, "explain|"+key, compute)
-		if err == nil && !ran {
-			s.coalesced.Inc()
-			s.phase(ctx, "coalesce-wait", t0, s.coalescedWait)
-		}
-	} else {
-		body, err = compute()
-	}
-	switch {
-	case err == nil:
-		return body, nil
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return nil, timeoutError(ctx)
-	default:
-		return nil, &APIError{Status: http.StatusInternalServerError,
-			Code: CodeInternal, Message: err.Error()}
-	}
-}
 
 // handleBatch serves POST /v1/batch: every scenario goes through the
 // evalpool worker pool and the same coalescing cache as /v1/estimate,
@@ -136,9 +32,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i := range req.Scenarios {
 		sc := &req.Scenarios[i]
 		jobs[i] = func() (BatchResult, error) {
-			ctx, cancel := scenarioContext(r.Context(), sc)
-			defer cancel()
-			body, apiErr := s.estimate(ctx, sc)
+			c, apiErr := s.scenarioCall(pathEstimate, sc)
+			var body []byte
+			if apiErr == nil {
+				body, apiErr = s.answer(r.Context(), c)
+			}
 			if apiErr != nil {
 				return BatchResult{Error: apiErr}, nil
 			}
@@ -155,80 +53,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	body, merr := marshalBody(BatchResponse{Results: results})
-	if merr != nil {
-		writeError(w, &APIError{Status: http.StatusInternalServerError,
-			Code: CodeInternal, Message: merr.Error()})
-		return
-	}
-	writeJSON(w, body)
-}
-
-// estimate resolves one scenario to its response bytes, coalescing
-// identical scenarios through the single-flight cache: the canonical
-// evalpool plan signature (cluster spec + estimator options + timer +
-// full workflow) keys the computation, so N concurrent identical
-// requests run the estimator once and share the same bytes.
-func (s *Server) estimate(ctx context.Context, req *EstimateRequest) ([]byte, *APIError) {
-	flow, est, apiErr := s.scenario(req)
-	if apiErr != nil {
-		return nil, apiErr
-	}
-	ran := false
-	compute := func() ([]byte, error) {
-		if s.testHookEstimate != nil {
-			s.testHookEstimate()
-		}
-		ran = true
-		s.computed.Inc()
-		te := time.Now()
-		plan, err := est.Estimate(flow)
-		s.phase(ctx, "estimate", te, s.phaseEstimate)
-		if err != nil {
-			return nil, err
-		}
-		tn := time.Now()
-		body, err := encodeEstimateResponse(plan)
-		s.phase(ctx, "encode", tn, s.phaseEncode)
-		return body, err
-	}
-	var body []byte
-	var err error
-	if key, ok := evalpool.PlanKey(est, flow); ok {
-		t0 := time.Now()
-		body, err = s.cache.DoContext(ctx, key, compute)
-		// Reading ran is race-free only on the err == nil path: our own
-		// compute either completed before DoContext returned (leader) or
-		// never started (coalesced onto another request's run / cache hit).
-		// On error the computation may still be running in the background.
-		if err == nil && !ran {
-			s.coalesced.Inc()
-			s.phase(ctx, "coalesce-wait", t0, s.coalescedWait)
-		}
-	} else {
-		body, err = compute()
-	}
-	switch {
-	case err == nil:
-		return body, nil
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return nil, timeoutError(ctx)
-	default:
-		return nil, &APIError{Status: http.StatusInternalServerError,
-			Code: CodeInternal, Message: err.Error()}
-	}
+	writeBody(w, BatchResponse{Results: results})
 }
 
 // scenario materializes a validated request into its workflow and
 // estimator, mirroring the boepredict CLI's defaults (the paper's
 // overheads, BOE task timer).
 func (s *Server) scenario(req *EstimateRequest) (*dag.Workflow, *statemodel.Estimator, *APIError) {
-	return s.scenarioWith(req, nil)
-}
-
-// scenarioWith is scenario with a per-request tracer wired into the
-// estimator — the SSE stream handler's hook for per-state progress.
-func (s *Server) scenarioWith(req *EstimateRequest, tracer obs.Tracer) (*dag.Workflow, *statemodel.Estimator, *APIError) {
 	spec := s.cfg.Spec
 	if req.spec != nil {
 		spec = *req.spec
@@ -256,7 +87,7 @@ func (s *Server) scenarioWith(req *EstimateRequest, tracer obs.Tracer) (*dag.Wor
 	opt := statemodel.Options{
 		Mode:              req.mode,
 		JobSubmitOverhead: cfg.JobSubmitOverhead,
-		Observe:           obs.Options{Metrics: s.reg, Tracer: tracer},
+		Observe:           obs.Options{Metrics: s.reg},
 	}
 	if req.Options.PerNode > 0 {
 		opt.SlotLimit = req.Options.PerNode * spec.Nodes
@@ -265,24 +96,9 @@ func (s *Server) scenarioWith(req *EstimateRequest, tracer obs.Tracer) (*dag.Wor
 	return flow, statemodel.New(spec, timer, opt), nil
 }
 
-// scenarioContext tightens the request context by the scenario's own
-// timeout_ms, when set.
-func scenarioContext(ctx context.Context, req *EstimateRequest) (context.Context, context.CancelFunc) {
-	if req.Options.TimeoutMS > 0 {
-		return context.WithTimeout(ctx, time.Duration(req.Options.TimeoutMS)*time.Millisecond)
-	}
-	return context.WithCancel(ctx)
-}
-
 // handleWorkflows serves GET /v1/workflows.
 func (s *Server) handleWorkflows(w http.ResponseWriter, r *http.Request) {
-	body, err := marshalBody(WorkflowsResponse{Workflows: experiments.WorkflowNames()})
-	if err != nil {
-		writeError(w, &APIError{Status: http.StatusInternalServerError,
-			Code: CodeInternal, Message: err.Error()})
-		return
-	}
-	writeJSON(w, body)
+	writeBody(w, WorkflowsResponse{Workflows: experiments.WorkflowNames()})
 }
 
 // handleCluster serves GET /v1/cluster: the serving cluster spec in the
@@ -297,22 +113,15 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 // toolchain, module version, VCS stamp, GOMAXPROCS) plus uptime, so a
 // load harness can tag its ledger with the exact server it measured.
 func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
-	body, err := marshalBody(VersionResponse{
+	writeBody(w, VersionResponse{
 		Build:   perfledger.CurrentBuild(),
 		UptimeS: time.Since(s.start).Seconds(),
 	})
-	if err != nil {
-		writeError(w, &APIError{Status: http.StatusInternalServerError,
-			Code: CodeInternal, Message: err.Error()})
-		return
-	}
-	writeJSON(w, body)
 }
 
 // handleHealthz serves GET /healthz: alive as long as it answers.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	body, _ := marshalBody(map[string]string{"status": "ok"})
-	writeJSON(w, body)
+	writeBody(w, map[string]string{"status": "ok"})
 }
 
 // handleReadyz serves GET /readyz: ready until the drain starts, so load
@@ -326,8 +135,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 			Code: CodeDraining, Message: "server is draining"})
 		return
 	}
-	body, _ := marshalBody(map[string]string{"status": "ready"})
-	writeJSON(w, body)
+	writeBody(w, map[string]string{"status": "ready"})
 }
 
 // handleMetrics serves GET /metrics from the obs registry: JSON by

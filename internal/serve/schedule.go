@@ -2,12 +2,9 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"io"
 	"math"
-	"net/http"
-	"time"
 
 	"boedag/internal/cluster"
 	"boedag/internal/sched"
@@ -145,14 +142,9 @@ type ScheduleResponse struct {
 // input (FuzzDecodeScheduleRequest holds that line) and every failure is
 // a typed *APIError.
 func DecodeScheduleRequest(r io.Reader) (*ScheduleRequest, *APIError) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var req ScheduleRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, decodeError(err)
-	}
-	if err := trailingData(dec); err != nil {
-		return nil, err
+	if apiErr := decodeStrict(r, &req); apiErr != nil {
+		return nil, apiErr
 	}
 	if apiErr := req.validate(); apiErr != nil {
 		return nil, apiErr
@@ -236,51 +228,10 @@ func (req *ScheduleRequest) validate() *APIError {
 	return nil
 }
 
-// handleSchedule serves POST /v1/schedule.
-func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	req, apiErr := DecodeScheduleRequest(r.Body)
-	s.phase(r.Context(), "decode", t0, s.phaseDecode)
-	if apiErr != nil {
-		writeError(w, apiErr)
-		return
-	}
-	ctx := r.Context()
-	if req.Options.TimeoutMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.Options.TimeoutMS)*time.Millisecond)
-		defer cancel()
-	}
-	if s.testHookEstimate != nil {
-		s.testHookEstimate()
-	}
-	s.scheduled.Inc()
-	ts := time.Now()
-	res := req.replay(s.cfg.Spec)
-	s.phase(ctx, "schedule", ts, s.phaseSchedule)
-	if ctx.Err() != nil {
-		writeError(w, timeoutError(ctx))
-		return
-	}
-	tn := time.Now()
-	body, err := encodeScheduleResponse(req.policy.String(), res)
-	s.phase(ctx, "encode", tn, s.phaseEncode)
-	if err != nil {
-		writeError(w, &APIError{Status: http.StatusInternalServerError,
-			Code: CodeInternal, Message: err.Error()})
-		return
-	}
-	writeJSON(w, body)
-}
-
-// replay runs the validated request's arrival stream against the serving
-// cluster (or the request's own cluster override): a pure deterministic
-// function of (request, spec).
-func (req *ScheduleRequest) replay(defaultSpec cluster.Spec) sched.StreamResult {
-	spec := defaultSpec
-	if req.spec != nil {
-		spec = *req.spec
-	}
+// replay runs the validated request's arrival stream against spec — the
+// serving cluster or the request's own cluster override: a pure
+// deterministic function of (request, spec).
+func (req *ScheduleRequest) replay(spec cluster.Spec) sched.StreamResult {
 	pool := sched.PoolOf(spec)
 	if req.Options.Slots > 0 {
 		pool = pool.WithSlotLimit(req.Options.Slots)
@@ -306,11 +257,11 @@ func (req *ScheduleRequest) replay(defaultSpec cluster.Spec) sched.StreamResult 
 	})
 }
 
-// encodeScheduleResponse renders a stream result as the wire response.
+// scheduleResponse shapes a stream result into the wire response.
 // Byte-deterministic: field order is fixed and only slices appear.
 // Non-finite floats (a job that never completed) encode as -1 so the
 // body is always valid JSON.
-func encodeScheduleResponse(policy string, res sched.StreamResult) ([]byte, error) {
+func scheduleResponse(policy string, res sched.StreamResult) ScheduleResponse {
 	resp := ScheduleResponse{
 		Policy:       policy,
 		MakespanS:    finiteS(res.Makespan),
@@ -342,7 +293,7 @@ func encodeScheduleResponse(policy string, res sched.StreamResult) ([]byte, erro
 			JobID: r.JobID, Code: r.Code, Reason: r.Reason, Detail: r.Detail,
 		})
 	}
-	return marshalBody(resp)
+	return resp
 }
 
 // finiteS clamps non-finite values to the wire sentinel -1.

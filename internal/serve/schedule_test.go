@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"boedag/internal/cluster"
 )
 
 // The /v1/schedule contract rides the same conformance machinery as the
@@ -58,8 +60,10 @@ func TestScheduleConformance(t *testing.T) {
 
 // TestScheduleMatchesLibrary ties the wire numbers to the library: the
 // served response must equal a direct RunStream replay field for field.
+// The replay depends on the serving cluster, so the shard and cache key
+// does too.
 func TestScheduleMatchesLibrary(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 	raw := readRequest(t, "schedule_hierarchy")
 	status, body, _ := post(t, ts.URL+"/v1/schedule", raw)
 	if status != http.StatusOK {
@@ -73,7 +77,7 @@ func TestScheduleMatchesLibrary(t *testing.T) {
 	if apiErr != nil {
 		t.Fatalf("decode: %v", apiErr)
 	}
-	want, err := encodeScheduleResponse(req.policy.String(), req.replay(Config{}.withDefaults().Spec))
+	want, err := marshalBody(scheduleResponse(req.policy.String(), req.replay(Config{}.withDefaults().Spec)))
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -82,6 +86,18 @@ func TestScheduleMatchesLibrary(t *testing.T) {
 	}
 	if got.Preemptions == 0 {
 		t.Error("hierarchy fixture reclaimed nothing — quota preemption is not reaching the wire")
+	}
+	small := cluster.PaperCluster()
+	small.Nodes = 4
+	other, err := New(Config{Spec: small})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, ok := s.RouteKey("/v1/schedule", raw)
+	otherKey, otherOK := other.RouteKey("/v1/schedule", raw)
+	if !ok || !otherOK || key == otherKey {
+		t.Errorf("same body on a %d- and a %d-node cluster keyed %q (%v) and %q (%v), want two distinct keys",
+			s.cfg.Spec.Nodes, small.Nodes, key, ok, otherKey, otherOK)
 	}
 }
 
@@ -120,7 +136,7 @@ func TestScheduleRejectionsOnWire(t *testing.T) {
 // -race: identical and distinct requests interleave and every response
 // must be well-formed with deterministic bytes per request body.
 func TestScheduleConcurrent(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 	bodies := [][]byte{
 		readRequest(t, "schedule_flat"),
 		readRequest(t, "schedule_hierarchy"),
@@ -159,6 +175,14 @@ func TestScheduleConcurrent(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Fatal(e)
+	}
+	// Identical bodies are answered from the response cache: each distinct
+	// body replays once, every repeat coalesces onto its cached bytes.
+	if got := counter(t, s, "schedules_computed"); got != int64(len(bodies)) {
+		t.Errorf("schedules_computed = %d, want %d (one per distinct body)", got, len(bodies))
+	}
+	if got := counter(t, s, "estimates_coalesced"); got != 8*8 {
+		t.Errorf("estimates_coalesced = %d, want %d", got, 8*8)
 	}
 }
 

@@ -23,13 +23,13 @@
 //	GET  /metrics       the obs metrics registry (JSON; ?format=text
 //	                    serves Prometheus exposition)
 //
-// Identical scenarios coalesce: responses are cached by the canonical
-// evalpool signature of (cluster, options, workflow), and concurrent
-// requests for the same key share one single-flight estimator run. The
-// server protects itself with a bounded admission queue (503 +
-// Retry-After on overload), per-request timeouts, a body-size limit, and
-// panic-to-500 recovery; SIGTERM handling in cmd/boedagd drains
-// gracefully through Shutdown.
+// Identical requests coalesce: responses are cached by the canonical
+// evalpool signature of (cluster, options, workflow) — for schedules, of
+// (cluster, body) — and concurrent requests for the same key share one
+// single-flight run (pipeline.go). The server protects itself with a
+// bounded admission queue (503 + Retry-After on overload), per-request
+// timeouts, a body-size limit, and panic-to-500 recovery; SIGTERM
+// handling in cmd/boedagd drains gracefully through Shutdown.
 package serve
 
 import (
@@ -146,9 +146,13 @@ type Server struct {
 	cache *evalpool.Cache[[]byte]
 	// plans memoizes estimator plans across /v1/explain requests: the
 	// base plan and every θ-perturbed re-run coalesce through it, so
-	// repeated explanations re-run nothing.
+	// repeated explanations re-run nothing. It shares the response
+	// cache's size bound.
 	plans *evalpool.PlanCache
 	start time.Time
+	// endpoints holds the sharded POST endpoints of the request pipeline
+	// (pipeline.go), by path; read-only after New.
+	endpoints map[string]*endpoint
 
 	// Admission: slots bounds concurrent execution, queue bounds waiters.
 	slots chan struct{}
@@ -164,12 +168,10 @@ type Server struct {
 	// Instruments, resolved once. routeDur holds one latency histogram
 	// per endpoint (request_duration_s{route=…}); it is written only
 	// during New's route registration and read-only thereafter.
-	requests, errors, rejected, queued, panics, computed, coalesced *obs.Counter
-	explained, scheduled, streamed                                  *obs.Counter
+	requests, errors, rejected, queued, panics, coalesced, streamed *obs.Counter
 	restored, restoreFailed                                         *obs.Counter
 	reqDur, queueWait                                               *obs.Histogram
-	phaseDecode, phaseEstimate, phaseEncode, coalescedWait          *obs.Histogram
-	phaseExplain, phaseSchedule                                     *obs.Histogram
+	phaseDecode, phaseEncode, coalescedWait                         *obs.Histogram
 	inflightG, queueG                                               *obs.Gauge
 	routeDur                                                        map[string]*obs.Histogram
 
@@ -198,7 +200,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:   cfg,
 		reg:   reg,
 		cache: evalpool.NewCache[[]byte]().WithCapacity(capacity).WithMetrics(reg, "estimate_cache"),
-		plans: evalpool.NewPlanCache().WithMetrics(reg),
+		plans: evalpool.NewPlanCache().WithCapacity(capacity).WithMetrics(reg),
 		start: time.Now(),
 		slots: make(chan struct{}, cfg.MaxConcurrent),
 		queue: make(chan struct{}, cfg.QueueDepth),
@@ -208,24 +210,23 @@ func New(cfg Config) (*Server, error) {
 		rejected:      reg.Counter("http_rejected"),
 		queued:        reg.Counter("http_queued"),
 		panics:        reg.Counter("http_panics"),
-		computed:      reg.Counter("estimates_computed"),
 		coalesced:     reg.Counter("estimates_coalesced"),
-		explained:     reg.Counter("explains_computed"),
-		scheduled:     reg.Counter("schedules_computed"),
 		streamed:      reg.Counter("estimates_streamed"),
 		restored:      reg.Counter("cache_restored_entries"),
 		restoreFailed: reg.Counter("cache_restore_failed"),
 		reqDur:        reg.Histogram("request_duration_s"),
 		queueWait:     reg.Histogram("queue_wait_s"),
 		phaseDecode:   reg.Histogram("phase_decode_s"),
-		phaseEstimate: reg.Histogram("phase_estimate_s"),
 		phaseEncode:   reg.Histogram("phase_encode_s"),
-		phaseExplain:  reg.Histogram("phase_explain_s"),
-		phaseSchedule: reg.Histogram("phase_schedule_s"),
 		coalescedWait: reg.Histogram("coalesced_wait_s"),
 		inflightG:     reg.Gauge("requests_inflight"),
 		queueG:        reg.Gauge("requests_queued"),
 		routeDur:      make(map[string]*obs.Histogram),
+		endpoints: map[string]*endpoint{
+			pathEstimate: {phase: "estimate", hist: reg.Histogram("phase_estimate_s"), computed: reg.Counter("estimates_computed")},
+			pathExplain:  {ns: "explain|", phase: "explain", hist: reg.Histogram("phase_explain_s"), computed: reg.Counter("explains_computed")},
+			pathSchedule: {ns: "schedule|", phase: "schedule", hist: reg.Histogram("phase_schedule_s"), computed: reg.Counter("schedules_computed")},
+		},
 	}
 	obs.SetMetricHelp("http_requests", "HTTP requests served, all routes.")
 	obs.SetMetricHelp("request_duration_s", "End-to-end request latency in seconds.")
@@ -241,10 +242,10 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.mux = http.NewServeMux()
-	s.route("POST", "/v1/estimate", true, s.handleEstimate)
-	s.route("POST", "/v1/explain", true, s.handleExplain)
+	for path := range s.endpoints {
+		s.route("POST", path, true, s.handle)
+	}
 	s.route("POST", "/v1/batch", true, s.handleBatch)
-	s.route("POST", "/v1/schedule", true, s.handleSchedule)
 	s.route("GET", "/v1/workflows", false, s.handleWorkflows)
 	s.route("GET", "/v1/cluster", false, s.handleCluster)
 	s.route("GET", "/version", false, s.handleVersion)
@@ -325,15 +326,9 @@ func (w *statusWriter) Flush() {
 }
 
 // reqIDKey carries the server-assigned request ordinal through a
-// request's context so phase spans can name their parent.
+// request's context so phase spans can name their parent (0 outside a
+// served request: tests driving handlers directly).
 type reqIDKey struct{}
-
-// requestID returns the ordinal withObserved assigned, or 0 outside a
-// served request (tests driving handlers directly).
-func requestID(ctx context.Context) int {
-	id, _ := ctx.Value(reqIDKey{}).(int)
-	return id
-}
 
 // phase records one request phase — decode, coalesce-wait, estimate,
 // encode — as a histogram observation and, when a tracer listens, an
@@ -343,12 +338,13 @@ func (s *Server) phase(ctx context.Context, name string, t0 time.Time, h *obs.Hi
 	d := time.Since(t0)
 	h.Observe(d.Seconds())
 	if s.cfg.Observe.TracerOn() {
+		id, _ := ctx.Value(reqIDKey{}).(int)
 		s.cfg.Observe.Tracer.Emit(obs.Event{
 			Type:   obs.EvRequestPhase,
 			Time:   t0.Sub(s.start).Seconds(),
 			Dur:    d.Seconds(),
 			Detail: name,
-			Seq:    requestID(ctx),
+			Seq:    id,
 			Task:   -1,
 		})
 	}
@@ -567,10 +563,22 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 	return s.Serve(ctx, ln)
 }
 
-// writeJSON writes a 200 response body produced by marshalBody.
-func writeJSON(w http.ResponseWriter, body []byte) {
+// writeBody writes v as a 200 JSON response body, or a 500 when it does
+// not marshal.
+func writeBody(w http.ResponseWriter, v any) {
+	body, err := marshalBody(v)
+	if err != nil {
+		writeError(w, &APIError{Status: http.StatusInternalServerError,
+			Code: CodeInternal, Message: err.Error()})
+		return
+	}
+	writeJSON(w, http.StatusOK, body)
+}
+
+// writeJSON writes a response body produced by marshalBody.
+func writeJSON(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
+	w.WriteHeader(status)
 	w.Write(body)
 }
 
@@ -581,9 +589,7 @@ func writeError(w http.ResponseWriter, e *APIError) {
 		http.Error(w, e.Message, e.Status)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(e.Status)
-	w.Write(body)
+	writeJSON(w, e.Status, body)
 }
 
 // timeoutError maps a done context to the wire error.

@@ -1,15 +1,12 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
-	"time"
 
 	"boedag/internal/obs"
-	"boedag/internal/statemodel"
 )
 
 // This file implements /v1/estimate?stream=1: the same scenario contract
@@ -43,21 +40,10 @@ type stateEvent struct {
 	Running []string `json:"running"`
 }
 
-// wantsStream reports whether the request asked for the SSE variant.
-func wantsStream(r *http.Request) bool {
-	return r.URL.Query().Get("stream") == "1"
-}
-
-// handleEstimateStream serves POST /v1/estimate?stream=1.
-func (s *Server) handleEstimateStream(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	req, apiErr := DecodeEstimateRequest(r.Body)
-	s.phase(r.Context(), "decode", t0, s.phaseDecode)
-	if apiErr != nil {
-		writeError(w, apiErr)
-		return
-	}
-	ctx, cancel := scenarioContext(r.Context(), req)
+// stream answers an estimate call as an SSE stream. It bypasses the
+// response cache: the state frames come from running the estimator.
+func (s *Server) stream(w http.ResponseWriter, r *http.Request, c *call) {
+	ctx, cancel := scenarioContext(r.Context(), c.timeoutMS)
 	defer cancel()
 
 	// The estimator traces into a stream private to this request; the
@@ -66,11 +52,7 @@ func (s *Server) handleEstimateStream(w http.ResponseWriter, r *http.Request) {
 	stream := obs.NewStream()
 	sub := stream.SubscribeWith(0, obs.DropOldest)
 	defer sub.Close()
-	flow, est, apiErr := s.scenarioWith(req, stream)
-	if apiErr != nil {
-		writeError(w, apiErr)
-		return
-	}
+	c.est.Opt.Observe.Tracer = stream
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -84,24 +66,16 @@ func (s *Server) handleEstimateStream(w http.ResponseWriter, r *http.Request) {
 	s.streamed.Inc()
 
 	// The estimator runs in its own goroutine and closes the stream when
-	// done, which ends the event loop below. The done channel is buffered
-	// so the goroutine can never block on a departed handler — the seam
+	// done, which ends the event loop below; done closes after that, so
+	// the goroutine never blocks on a departed handler — the seam
 	// TestEstimateStreamClientDisconnect leans on.
-	type outcome struct {
-		plan *statemodel.Plan
-		err  error
-	}
-	done := make(chan outcome, 1)
+	var resp any
+	var err error
+	done := make(chan struct{})
 	go func() {
+		defer close(done)
 		defer stream.Close()
-		if s.testHookEstimate != nil {
-			s.testHookEstimate()
-		}
-		s.computed.Inc()
-		te := time.Now()
-		plan, err := est.Estimate(flow)
-		s.phase(ctx, "estimate", te, s.phaseEstimate)
-		done <- outcome{plan, err}
+		resp, err = s.run(ctx, c)
 	}()
 
 	for {
@@ -110,8 +84,12 @@ func (s *Server) handleEstimateStream(w http.ResponseWriter, r *http.Request) {
 			if !ok {
 				// Stream closed: the run is over and the buffered tail has
 				// drained. Emit the terminal frame.
-				o := <-done
-				s.writeStreamResult(w, flusher, ctx, o.plan, o.err)
+				<-done
+				if err != nil {
+					writeSSE(w, flusher, "error", "", errorEnvelope{Error: callError(ctx, err)})
+				} else {
+					writeSSE(w, flusher, "result", "", resp)
+				}
 				return
 			}
 			if ev.Type != obs.EvEstimatorState {
@@ -130,25 +108,6 @@ func (s *Server) handleEstimateStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-// writeStreamResult emits the terminal SSE frame: the compact estimate on
-// success, the error envelope otherwise.
-func (s *Server) writeStreamResult(w http.ResponseWriter, flusher http.Flusher,
-	ctx context.Context, plan *statemodel.Plan, err error) {
-	if err == nil && plan != nil {
-		writeSSE(w, flusher, "result", "", buildEstimateResponse(plan))
-		return
-	}
-	apiErr := &APIError{Status: http.StatusInternalServerError,
-		Code: CodeInternal, Message: "estimate failed"}
-	if err != nil {
-		apiErr.Message = err.Error()
-	}
-	if ctx.Err() != nil {
-		apiErr = timeoutError(ctx)
-	}
-	writeSSE(w, flusher, "error", "", errorEnvelope{Error: apiErr})
 }
 
 // writeSSE writes one SSE frame (event line, optional extra header lines,

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -240,5 +241,122 @@ func TestDRFNeverOvercommits(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// drfScan is the reference DRF: before each container it rescans every
+// job for the lowest dominant share (ties to the lowest JobID). It is
+// the oracle the heap-driven DRF must match map for map.
+func drfScan(pool Pool, reqs []Request, held Allocation) Allocation {
+	grant := make(Allocation, len(reqs))
+	memUsed, cpuUsed, slotsUsed := 0, 0, 0
+	for _, r := range reqs {
+		h := held[r.JobID]
+		if h == 0 {
+			continue
+		}
+		grant[r.JobID] = 0
+		memUsed += h * r.MemoryMB
+		cpuUsed += h * r.VCores
+		slotsUsed += h
+	}
+	idx := make([]int, len(reqs))
+	for i := range reqs {
+		idx[i] = i
+	}
+	for i := 1; i < len(idx); i++ {
+		for k := i; k > 0 && reqs[idx[k]].JobID < reqs[idx[k-1]].JobID; k-- {
+			idx[k], idx[k-1] = idx[k-1], idx[k]
+		}
+	}
+	dominant := func(r Request, n int) float64 {
+		memShare, cpuShare := 0.0, 0.0
+		if pool.MemoryMB > 0 {
+			memShare = float64(n*r.MemoryMB) / float64(pool.MemoryMB)
+		}
+		if pool.VCores > 0 {
+			cpuShare = float64(n*r.VCores) / float64(pool.VCores)
+		}
+		if memShare > cpuShare {
+			return memShare
+		}
+		return cpuShare
+	}
+	for {
+		best, bestShare := -1, 0.0
+		for _, i := range idx {
+			r := reqs[i]
+			have := grant[r.JobID] + held[r.JobID]
+			if grant[r.JobID] >= r.Pending {
+				continue
+			}
+			if r.Cap > 0 && have >= r.Cap {
+				continue
+			}
+			if memUsed+r.MemoryMB > pool.MemoryMB && pool.MemoryMB > 0 {
+				continue
+			}
+			if cpuUsed+r.VCores > pool.VCores && pool.VCores > 0 {
+				continue
+			}
+			if pool.Slots > 0 && slotsUsed+1 > pool.Slots {
+				continue
+			}
+			share := dominant(r, have)
+			if best == -1 || share < bestShare {
+				best, bestShare = i, share
+			}
+		}
+		if best == -1 {
+			break
+		}
+		r := reqs[best]
+		grant[r.JobID]++
+		memUsed += r.MemoryMB
+		cpuUsed += r.VCores
+		slotsUsed++
+	}
+	return grant
+}
+
+// fairScan is the reference slot-fair policy: before each container it
+// re-sorts every job by (holdings, JobID) and grants to the first that
+// can still take one.
+func fairScan(pool Pool, reqs []Request, held Allocation) Allocation {
+	ordered := append([]Request(nil), reqs...)
+	sort.Slice(ordered, func(a, b int) bool { return ordered[a].JobID < ordered[b].JobID })
+	grant := make(Allocation, len(reqs))
+	memUsed, cpuUsed, slotsUsed := heldUsage(reqs, held)
+	for {
+		progress := false
+		sort.SliceStable(ordered, func(a, b int) bool {
+			ha := grant[ordered[a].JobID] + held[ordered[a].JobID]
+			hb := grant[ordered[b].JobID] + held[ordered[b].JobID]
+			if ha != hb {
+				return ha < hb
+			}
+			return ordered[a].JobID < ordered[b].JobID
+		})
+		for _, r := range ordered {
+			have := grant[r.JobID] + held[r.JobID]
+			if grant[r.JobID] >= r.Pending {
+				continue
+			}
+			if r.Cap > 0 && have >= r.Cap {
+				continue
+			}
+			if !fits(pool, memUsed+r.MemoryMB, cpuUsed+r.VCores, slotsUsed+1) {
+				continue
+			}
+			grant[r.JobID]++
+			memUsed += r.MemoryMB
+			cpuUsed += r.VCores
+			slotsUsed++
+			progress = true
+			break
+		}
+		if !progress {
+			return grant
+		}
 	}
 }

@@ -200,19 +200,23 @@ type HierResult struct {
 	Evict Allocation
 }
 
-// hierState is the per-call working set of AllocateHierarchy.
+// hierState is the per-call working set of AllocateHierarchy. Per-job
+// state is indexed by request index; idx lists the request indices in
+// JobID order (the fills' ranks, and the deterministic scan order of
+// reclaim and gang enforcement).
 type hierState struct {
 	h     *Hierarchy
 	pool  Pool
 	reqs  []Request
 	nodes []*queueNode // per request
-	grant Allocation
-	held  map[string]int // mutable copy: evictions shrink it
-	evict Allocation
-	idx   []int // request indices sorted by JobID (deterministic ties)
+	// grant, held and evict count each job's containers: newly granted,
+	// held (evictions shrink it) and evicted.
+	grant, held, evict []int
+	idx                []int
+	heap               []int // fill scratch
 	// banned marks jobs zeroed by gang enforcement: once a gang fails,
 	// the job sits out the rest of the call (termination guarantee).
-	banned map[string]bool
+	banned []bool
 	// qmem/qcpu/qslots accumulate per-queue subtree usage, indexed by
 	// queueNode.id; mem/cpu/slots track the whole pool.
 	qmem, qcpu, qslots []int
@@ -228,36 +232,30 @@ func AllocateHierarchy(pool Pool, h *Hierarchy, reqs []Request, held Allocation)
 	if h == nil {
 		h = flatHierarchy
 	}
+	n, m := len(reqs), len(h.nodes)
+	buf := make([]int, 5*n)
+	qbuf := make([]int, 3*m)
 	s := &hierState{
-		h:     h,
-		pool:  pool,
-		reqs:  reqs,
-		nodes: make([]*queueNode, len(reqs)),
-		grant: make(Allocation, len(reqs)),
-		held:  make(map[string]int, len(held)),
-		evict: Allocation{},
-		idx:   make([]int, len(reqs)),
+		h:      h,
+		pool:   pool,
+		reqs:   reqs,
+		nodes:  make([]*queueNode, n),
+		grant:  buf[:n:n],
+		held:   buf[n : 2*n : 2*n],
+		evict:  buf[2*n : 3*n : 3*n],
+		idx:    buf[3*n : 4*n : 4*n],
+		heap:   buf[4*n:],
+		qmem:   qbuf[:m:m],
+		qcpu:   qbuf[m : 2*m : 2*m],
+		qslots: qbuf[2*m:],
 	}
-	s.qmem = make([]int, len(h.nodes))
-	s.qcpu = make([]int, len(h.nodes))
-	s.qslots = make([]int, len(h.nodes))
+	jobOrder(s.idx, reqs)
 	for i, r := range reqs {
 		s.nodes[i] = h.node(r.Queue)
-		s.idx[i] = i
-	}
-	for i := 1; i < len(s.idx); i++ {
-		for k := i; k > 0 && reqs[s.idx[k]].JobID < reqs[s.idx[k-1]].JobID; k-- {
-			s.idx[k], s.idx[k-1] = s.idx[k-1], s.idx[k]
+		if hh := held[r.JobID]; hh != 0 {
+			s.held[i] = hh
+			s.charge(s.nodes[i], r, hh)
 		}
-	}
-	for i, r := range reqs {
-		hh := held[r.JobID]
-		if hh == 0 {
-			continue
-		}
-		s.held[r.JobID] = hh
-		s.grant[r.JobID] = 0
-		s.charge(s.nodes[i], r, hh)
 	}
 
 	// Fill in-quota guarantees, then over-quota by weight; when reclaim
@@ -273,11 +271,41 @@ func AllocateHierarchy(pool Pool, h *Hierarchy, reqs []Request, held Allocation)
 		}
 	}
 	s.enforceGangs()
+	return s.result()
+}
 
-	if len(s.evict) == 0 {
-		s.evict = nil
+// result builds the HierResult maps. Grants has an entry per job that
+// held containers at the call or was ever granted one (a gang-zeroed
+// job keeps its zero entry); Evict is nil when nothing was evicted.
+func (s *hierState) result() HierResult {
+	granted, evicted := 0, 0
+	for i := range s.reqs {
+		if s.listed(i) {
+			granted++
+		}
+		if s.evict[i] > 0 {
+			evicted++
+		}
 	}
-	return HierResult{Grants: s.grant, Evict: s.evict}
+	res := HierResult{Grants: make(Allocation, granted)}
+	if evicted > 0 {
+		res.Evict = make(Allocation, evicted)
+	}
+	for i, r := range s.reqs {
+		if s.listed(i) {
+			res.Grants[r.JobID] += s.grant[i]
+		}
+		if s.evict[i] > 0 {
+			res.Evict[r.JobID] += s.evict[i]
+		}
+	}
+	return res
+}
+
+// listed reports whether job i has a Grants entry: it held containers
+// at the call (held + evicted), holds a grant, or lost one to its gang.
+func (s *hierState) listed(i int) bool {
+	return s.held[i]+s.evict[i] != 0 || s.grant[i] > 0 || s.banned != nil && s.banned[i]
 }
 
 // flatHierarchy is the nil-hierarchy degenerate: one unlimited root.
@@ -302,22 +330,22 @@ func (s *hierState) charge(node *queueNode, r Request, n int) {
 	}
 }
 
-// have is the job's current container count (held + granted − evicted).
-func (s *hierState) have(r Request) int {
-	return s.grant[r.JobID] + s.held[r.JobID]
+// have is job i's current container count (held + granted − evicted).
+func (s *hierState) have(i int) int {
+	return s.grant[i] + s.held[i]
 }
 
-// wants reports whether the job still demands a container: pending
-// unmet, cap unreached, and not banned by a failed gang.
+// wants reports whether job i still demands a container: pending unmet,
+// cap unreached, and not banned by a failed gang.
 func (s *hierState) wants(i int) bool {
 	r := s.reqs[i]
-	if s.banned[r.JobID] {
+	if s.banned != nil && s.banned[i] {
 		return false
 	}
-	if s.grant[r.JobID] >= r.Pending {
+	if s.grant[i] >= r.Pending {
 		return false
 	}
-	if r.Cap > 0 && s.have(r) >= r.Cap {
+	if r.Cap > 0 && s.have(i) >= r.Cap {
 		return false
 	}
 	return true
@@ -384,52 +412,30 @@ func (s *hierState) quotaHeadroom(node *queueNode, r Request) bool {
 	return true
 }
 
-// dominantShare is the job's maximum share across memory and vcores
-// at count n — flat DRF's priority key.
-func dominantShare(pool Pool, r Request, n int) float64 {
-	memShare, cpuShare := 0.0, 0.0
-	if pool.MemoryMB > 0 {
-		memShare = float64(n*r.MemoryMB) / float64(pool.MemoryMB)
-	}
-	if pool.VCores > 0 {
-		cpuShare = float64(n*r.VCores) / float64(pool.VCores)
-	}
-	if memShare > cpuShare {
-		return memShare
-	}
-	return cpuShare
-}
-
 // fill grants containers one at a time to the best eligible job until
-// nothing fits. inQuota restricts candidates to chains with quota
-// headroom and ranks by plain dominant share; the over-quota phase
-// admits everyone within limits and ranks by weight-normalized share.
+// nothing fits (the progressive fill). inQuota restricts candidates to
+// chains with quota headroom and ranks by plain dominant share; the
+// over-quota phase admits everyone within limits and ranks by
+// weight-normalized share. Eligibility only shrinks within a phase:
+// banned is fixed, and grants, pool usage and queue usage only grow.
 func (s *hierState) fill(inQuota bool) {
-	for {
-		best, bestKey := -1, 0.0
-		for _, i := range s.idx {
-			r := s.reqs[i]
-			if !s.wants(i) || !s.poolFits(r) || !s.limitFits(s.nodes[i], r) {
-				continue
-			}
-			if inQuota && !s.quotaHeadroom(s.nodes[i], r) {
-				continue
-			}
-			key := dominantShare(s.pool, r, s.have(r))
-			if !inQuota {
-				key /= s.nodes[i].weight
-			}
-			if best == -1 || key < bestKey {
-				best, bestKey = i, key
-			}
+	progressiveFill(s.heap, len(s.idx), func(k int) float64 {
+		i := s.idx[k]
+		key := dominantShare(s.pool, s.reqs[i], s.have(i))
+		if !inQuota {
+			key /= s.nodes[i].weight
 		}
-		if best == -1 {
-			return
-		}
-		r := s.reqs[best]
-		s.grant[r.JobID]++
-		s.charge(s.nodes[best], r, 1)
-	}
+		return key
+	}, func(k int) bool {
+		i := s.idx[k]
+		r, node := s.reqs[i], s.nodes[i]
+		return s.wants(i) && s.poolFits(r) && s.limitFits(node, r) &&
+			(!inQuota || s.quotaHeadroom(node, r))
+	}, func(k int) {
+		i := s.idx[k]
+		s.grant[i]++
+		s.charge(s.nodes[i], s.reqs[i], 1)
+	})
 }
 
 // reclaim preempts held over-quota containers to unblock starved
@@ -459,14 +465,12 @@ func (s *hierState) reclaim() bool {
 		if victim == -1 {
 			return evicted
 		}
-		vr := s.reqs[victim]
-		s.held[vr.JobID]--
-		s.evict[vr.JobID]++
+		s.held[victim]--
+		s.evict[victim]++
 		evicted = true
-		s.charge(s.nodes[victim], vr, -1)
-		if s.poolFits(s.reqs[starved]) {
-			r := s.reqs[starved]
-			s.grant[r.JobID]++
+		s.charge(s.nodes[victim], s.reqs[victim], -1)
+		if r := s.reqs[starved]; s.poolFits(r) {
+			s.grant[starved]++
 			s.charge(s.nodes[starved], r, 1)
 		}
 	}
@@ -478,7 +482,7 @@ func (s *hierState) pickVictim(starved int) int {
 	best := -1
 	for _, i := range s.idx {
 		r := s.reqs[i]
-		if i == starved || s.held[r.JobID] <= 0 {
+		if i == starved || s.held[i] <= 0 {
 			continue
 		}
 		// Releasing one container must not cut into guaranteed work: the
@@ -525,15 +529,15 @@ func (s *hierState) enforceGangs() {
 		changed := false
 		for _, i := range s.idx {
 			r := s.reqs[i]
-			if r.Gang <= 0 || s.grant[r.JobID] == 0 || s.have(r) >= r.Gang {
+			if r.Gang <= 0 || s.grant[i] == 0 || s.have(i) >= r.Gang {
 				continue
 			}
-			s.charge(s.nodes[i], r, -s.grant[r.JobID])
-			s.grant[r.JobID] = 0
+			s.charge(s.nodes[i], r, -s.grant[i])
+			s.grant[i] = 0
 			if s.banned == nil {
-				s.banned = make(map[string]bool)
+				s.banned = make([]bool, len(s.reqs))
 			}
-			s.banned[r.JobID] = true
+			s.banned[i] = true
 			changed = true
 		}
 		if !changed {

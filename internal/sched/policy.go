@@ -128,46 +128,14 @@ func drain(pool Pool, ordered, reqs []Request, held Allocation) Allocation {
 }
 
 // fair hands out slots round-robin, one at a time, to every job that can
-// still take one — equal slot counts regardless of container sizes.
+// still take one — equal slot counts regardless of container sizes: the
+// progressive fill keyed by holdings.
 func fair(pool Pool, reqs []Request, held Allocation) Allocation {
-	ordered := append([]Request(nil), reqs...)
-	sort.Slice(ordered, func(a, b int) bool { return ordered[a].JobID < ordered[b].JobID })
-	grant := make(Allocation, len(reqs))
-	memUsed, cpuUsed, slotsUsed := heldUsage(reqs, held)
-	for {
-		progress := false
-		// Round-robin by current holdings: grant to jobs with the fewest
-		// containers first.
-		sort.SliceStable(ordered, func(a, b int) bool {
-			ha := grant[ordered[a].JobID] + held[ordered[a].JobID]
-			hb := grant[ordered[b].JobID] + held[ordered[b].JobID]
-			if ha != hb {
-				return ha < hb
-			}
-			return ordered[a].JobID < ordered[b].JobID
-		})
-		for _, r := range ordered {
-			have := grant[r.JobID] + held[r.JobID]
-			if grant[r.JobID] >= r.Pending {
-				continue
-			}
-			if r.Cap > 0 && have >= r.Cap {
-				continue
-			}
-			if !fits(pool, memUsed+r.MemoryMB, cpuUsed+r.VCores, slotsUsed+1) {
-				continue
-			}
-			grant[r.JobID]++
-			memUsed += r.MemoryMB
-			cpuUsed += r.VCores
-			slotsUsed++
-			progress = true
-			break // re-sort by holdings
-		}
-		if !progress {
-			return grant
-		}
-	}
+	f := newFlatFill(pool, reqs, held)
+	progressiveFill(f.heap, len(reqs), func(k int) float64 {
+		return float64(f.have(k))
+	}, f.eligible, f.grantOne)
+	return f.allocation(false)
 }
 
 func heldUsage(reqs []Request, held Allocation) (mem, cpu, slots int) {

@@ -90,85 +90,15 @@ func (a Allocation) Total() int {
 // capacity, slots, caps, or demand is exhausted. Held is the set of
 // containers jobs already hold (e.g. running tasks in the simulator);
 // held containers count toward shares and consume pool capacity but are
-// not re-granted. Ties break deterministically by JobID.
+// not re-granted, and a holder's entry is present (possibly zero) in the
+// result. Ties break deterministically by JobID. Container shapes must
+// be non-negative (see progressiveFill).
 func DRF(pool Pool, reqs []Request, held Allocation) Allocation {
-	grant := make(Allocation, len(reqs))
-	memUsed, cpuUsed, slotsUsed := 0, 0, 0
-
-	// Account for held containers first.
-	for _, r := range reqs {
-		h := held[r.JobID]
-		if h == 0 {
-			continue
-		}
-		grant[r.JobID] = 0
-		memUsed += h * r.MemoryMB
-		cpuUsed += h * r.VCores
-		slotsUsed += h
-	}
-
-	idx := make([]int, len(reqs))
-	for i := range reqs {
-		idx[i] = i
-	}
-	// Insertion sort: reqs is one entry per job and both the estimator and
-	// the simulator call DRF once per state iteration — sort.Slice's
-	// reflective swapper would allocate every time.
-	for i := 1; i < len(idx); i++ {
-		for k := i; k > 0 && reqs[idx[k]].JobID < reqs[idx[k-1]].JobID; k-- {
-			idx[k], idx[k-1] = idx[k-1], idx[k]
-		}
-	}
-
-	dominant := func(r Request, n int) float64 {
-		memShare, cpuShare := 0.0, 0.0
-		if pool.MemoryMB > 0 {
-			memShare = float64(n*r.MemoryMB) / float64(pool.MemoryMB)
-		}
-		if pool.VCores > 0 {
-			cpuShare = float64(n*r.VCores) / float64(pool.VCores)
-		}
-		if memShare > cpuShare {
-			return memShare
-		}
-		return cpuShare
-	}
-
-	for {
-		best, bestShare := -1, 0.0
-		for _, i := range idx {
-			r := reqs[i]
-			have := grant[r.JobID] + held[r.JobID]
-			if grant[r.JobID] >= r.Pending {
-				continue
-			}
-			if r.Cap > 0 && have >= r.Cap {
-				continue
-			}
-			if memUsed+r.MemoryMB > pool.MemoryMB && pool.MemoryMB > 0 {
-				continue
-			}
-			if cpuUsed+r.VCores > pool.VCores && pool.VCores > 0 {
-				continue
-			}
-			if pool.Slots > 0 && slotsUsed+1 > pool.Slots {
-				continue
-			}
-			share := dominant(r, have)
-			if best == -1 || share < bestShare {
-				best, bestShare = i, share
-			}
-		}
-		if best == -1 {
-			break
-		}
-		r := reqs[best]
-		grant[r.JobID]++
-		memUsed += r.MemoryMB
-		cpuUsed += r.VCores
-		slotsUsed++
-	}
-	return grant
+	f := newFlatFill(pool, reqs, held)
+	progressiveFill(f.heap, len(reqs), func(k int) float64 {
+		return dominantShare(pool, reqs[f.order[k]], f.have(k))
+	}, f.eligible, f.grantOne)
+	return f.allocation(true)
 }
 
 // Parallelism answers the estimator's question directly: the steady-state

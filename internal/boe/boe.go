@@ -266,7 +266,8 @@ func usersOf(sc *evalScratch, groups []TaskGroup) (users [cluster.NumResources]i
 	return users
 }
 
-// render materializes the full estimate of group i from a solve.
+// render materializes the estimate of group i from a solve. With nil
+// users it leaves Ops empty (the lean task-time path).
 func (m *Model) render(sc *evalScratch, alloc *fairshare.Result, users *[cluster.NumResources]int, i int) SubStageEstimate {
 	est := SubStageEstimate{
 		Name:        sc.subs[i].Name,
@@ -276,6 +277,9 @@ func (m *Model) render(sc *evalScratch, alloc *fairshare.Result, users *[cluster
 	rate := alloc.Rate[i]
 	if rate > 0 && len(sc.subs[i].Ops) > 0 {
 		est.Duration = units.Seconds(1 / rate)
+		if users == nil {
+			return est
+		}
 		for _, op := range sc.subs[i].Ops {
 			// The paper's t_X = D_X/(μ_X(Δ)·θ_X): the op's time at its
 			// equal share of resource X among the Δ_X tasks demanding
@@ -328,13 +332,15 @@ func (m *Model) TaskTimeWith(p workload.JobProfile, s workload.Stage, parallelis
 	g := append(sc.groups[:0], TaskGroup{Profile: p, Stage: s, Parallelism: parallelism})
 	g = append(g, env...)
 	sc.groups = g
-	return m.taskTime(sc, g)
+	return m.taskTime(sc, g, true)
 }
 
 // TaskTimeAt estimates the task time of groups[self] under contention
 // from the other groups — equivalent to TaskTimeWith with the self group
 // removed from the environment, without materializing that intermediate
-// slice. This is the estimator's hot path.
+// slice. This is the estimator's hot path, so it skips the per-operation
+// report: every sub-stage's Ops is left empty (Duration, Bottleneck and
+// Utilization are exactly TaskTimeWith's).
 func (m *Model) TaskTimeAt(groups []TaskGroup, self int) TaskEstimate {
 	sc := evalPool.Get().(*evalScratch)
 	defer evalPool.Put(sc)
@@ -342,14 +348,15 @@ func (m *Model) TaskTimeAt(groups []TaskGroup, self int) TaskEstimate {
 	g = append(g, groups[:self]...)
 	g = append(g, groups[self+1:]...)
 	sc.groups = g
-	return m.taskTime(sc, g)
+	return m.taskTime(sc, g, false)
 }
 
 // taskTime sums the sub-stage estimates of g[0] against the g[1:]
-// environment, varying g[0]'s current sub-stage. The environment rows
-// are identical across the sub-stage sweep, so they are derived once
-// and only row 0 is refilled per iteration.
-func (m *Model) taskTime(sc *evalScratch, g []TaskGroup) TaskEstimate {
+// environment, varying g[0]'s current sub-stage; withOps renders each
+// sub-stage's per-operation report. The environment rows are identical
+// across the sub-stage sweep, so they are derived once and only row 0
+// is refilled per iteration.
+func (m *Model) taskTime(sc *evalScratch, g []TaskGroup, withOps bool) TaskEstimate {
 	si := m.stageInfoFor(g[0].Profile, g[0].Stage)
 	sc.growRows(len(g))
 	for i := 1; i < len(g); i++ {
@@ -361,8 +368,13 @@ func (m *Model) taskTime(sc *evalScratch, g []TaskGroup) TaskEstimate {
 		sc.subs[0] = si.subs[k]
 		sc.consumers[0] = m.consumerFor(g[0], si.subs[k])
 		alloc := m.allocateRows(sc)
-		users := usersOf(sc, g)
-		ss := m.render(sc, alloc, &users, 0)
+		var ss SubStageEstimate
+		if withOps {
+			users := usersOf(sc, g)
+			ss = m.render(sc, alloc, &users, 0)
+		} else {
+			ss = m.render(sc, alloc, nil, 0)
+		}
 		est.SubStages = append(est.SubStages, ss)
 		est.Duration += ss.Duration
 	}

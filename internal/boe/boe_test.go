@@ -340,3 +340,22 @@ func TestTaskTimeAtMatchesTaskTimeWith(t *testing.T) {
 		t.Error("TaskTimeAt mutated the caller's group sequence")
 	}
 }
+
+// TestTaskTimeAtIsLean: the hot path skips the per-operation report
+// that TaskTimeWith renders.
+func TestTaskTimeAtIsLean(t *testing.T) {
+	m := New(cluster.PaperCluster())
+	groups := []TaskGroup{
+		{Profile: workload.TeraSort(20 * units.GB), Stage: workload.Reduce, SubStage: AggregateSubStage, Parallelism: 33},
+		{Profile: workload.WordCount(10 * units.GB), Stage: workload.Map, SubStage: AggregateSubStage, Parallelism: 12},
+	}
+	full := m.TaskTimeWith(groups[0].Profile, groups[0].Stage, groups[0].Parallelism, groups[1:])
+	if len(full.SubStages) == 0 || len(full.SubStages[0].Ops) == 0 {
+		t.Fatal("TaskTimeWith rendered no operations")
+	}
+	for k, ss := range m.TaskTimeAt(groups, 0).SubStages {
+		if ss.Ops != nil {
+			t.Errorf("sub-stage %d: TaskTimeAt rendered %d operations", k, len(ss.Ops))
+		}
+	}
+}

@@ -44,8 +44,9 @@ type Result struct {
 	Utilization [cluster.NumResources]float64
 	// Bound[i][r] is the progress-rate ceiling resource r alone imposes on
 	// consumer i — the paper's per-operation t_X = D_X/(μ_X(Δ)·θ_X)
-	// denominators. +Inf where r is not demanded; a consumer's rate is the
-	// minimum of its bounds and its own cap.
+	// denominators. +Inf where r is not demanded. The per-task cap
+	// MaxRate counts toward its CapResource's bound, so a live consumer's
+	// rate is the minimum of its bounds.
 	Bound [][cluster.NumResources]float64
 }
 
@@ -196,7 +197,7 @@ func (a *Arena) Allocate(capacity [cluster.NumResources]units.Rate, consumers []
 		bn := c.CapResource
 		if c.MaxRate > 0 {
 			rate = c.MaxRate
-			res.Bound[i][cluster.CPU] = math.Min(res.Bound[i][cluster.CPU], c.MaxRate)
+			res.Bound[i][c.CapResource] = math.Min(res.Bound[i][c.CapResource], c.MaxRate)
 		}
 		for r := 0; r < cluster.NumResources; r++ {
 			if c.Demand[r] <= 0 {
@@ -386,7 +387,7 @@ func (a *Arena) EqualSplit(capacity [cluster.NumResources]units.Rate, consumers 
 		bottleneck := c.CapResource
 		if c.MaxRate > 0 {
 			rate = c.MaxRate
-			res.Bound[i][cluster.CPU] = c.MaxRate
+			res.Bound[i][c.CapResource] = c.MaxRate
 		}
 		for r := 0; r < cluster.NumResources; r++ {
 			if c.Demand[r] <= 0 {

@@ -83,8 +83,8 @@ coverage_gate() {
 # fuzz_smoke runs the input-boundary fuzzers briefly: the seed corpus
 # plus a few seconds of mutation must finish without a crasher (the
 # never-panic contracts of the trace parser and the serve request
-# decoder, and the agreement of the fleet's shard key with the serve
-# handler's answer).
+# decoder, the agreement of the fleet's shard key with the serve
+# handler's answer, and the heap fills' agreement with the scan oracles).
 fuzz_smoke() {
     echo "== trace parser fuzz smoke =="
     go test ./internal/calibrate -run '^$' \
@@ -101,6 +101,9 @@ fuzz_smoke() {
     echo "== hierarchical allocator fuzz smoke =="
     go test ./internal/sched -run '^$' \
         -fuzz '^FuzzHierarchyAllocate$' -fuzztime "${FUZZTIME:-5s}"
+    echo "== heap fill vs scan oracle fuzz smoke =="
+    go test ./internal/sched -run '^$' \
+        -fuzz '^FuzzDRFMatchesScan$' -fuzztime "${FUZZTIME:-5s}"
     echo "== cache snapshot reader fuzz smoke =="
     go test ./internal/cachestore -run '^$' \
         -fuzz '^FuzzReadSnapshot$' -fuzztime "${FUZZTIME:-5s}"

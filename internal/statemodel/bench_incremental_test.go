@@ -84,3 +84,18 @@ func benchReestimate(b *testing.B, disable bool) {
 func BenchmarkIncrementalReestimate(b *testing.B) { benchReestimate(b, false) }
 
 func BenchmarkFromScratchReestimate(b *testing.B) { benchReestimate(b, true) }
+
+// BenchmarkEstimate1kJobs is one cold estimate of synth-1k (20 layers ×
+// 50 jobs): a fresh scratch per iteration, so every task-time solve is
+// paid, as for a request the service has not seen.
+func BenchmarkEstimate1kJobs(b *testing.B) {
+	flow := synthdag.Generate(synthdag.Config{Layers: 20, Width: 50, FanIn: 3, Seed: 1})
+	est := newEstimator(statemodel.NormalMode, false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := est.EstimateWith(statemodel.NewScratch(), flow); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

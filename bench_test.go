@@ -357,9 +357,10 @@ func BenchmarkAblationErnest(b *testing.B) {
 	b.ReportMetric(accBOE*100, "BOE-accuracy-%")
 }
 
-// BenchmarkFairshareAllocate measures the progressive-filling allocator —
-// the simulator's innermost loop — at a realistic population (132 tasks
-// in 4 groups).
+// BenchmarkFairshareAllocate measures the progressive-filling solver —
+// the innermost loop of the estimator and the simulator — at a realistic
+// population (132 tasks in 4 groups), on a reused Arena as both callers
+// run it.
 func BenchmarkFairshareAllocate(b *testing.B) {
 	spec := cluster.PaperCluster()
 	var caps [cluster.NumResources]units.Rate
@@ -374,9 +375,10 @@ func BenchmarkFairshareAllocate(b *testing.B) {
 		c.Demand[cluster.Network] = float64(g*40) * float64(units.MB)
 		consumers = append(consumers, c)
 	}
+	var arena fairshare.Arena
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res := fairshare.Allocate(caps, consumers)
+		res := arena.Allocate(caps, consumers)
 		if res.Rate[0] <= 0 {
 			b.Fatal("starved")
 		}

@@ -141,10 +141,13 @@ explain_smoke() {
 # bench_smoke compiles and runs the parallel-sweep benchmark once per
 # sub-benchmark — a cheap guard that the evalpool fan-out path stays
 # runnable; real speedup numbers need a longer -benchtime on a
-# multi-core machine.
+# multi-core machine. It also runs one node-aware simulation at paper
+# scale, where every event solves each node's pools.
 bench_smoke() {
     echo "== parallel sweep benchmark smoke =="
     go test ./internal/experiments -run '^$' -bench BenchmarkSweepParallel -benchtime 1x
+    echo "== node-aware simulator benchmark smoke =="
+    go test ./internal/simulator -run '^$' -bench 'BenchmarkSimulateNodeAware$' -benchtime 1x
 }
 
 # incremental_smoke pins the incremental estimator's contract: the

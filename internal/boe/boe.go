@@ -128,33 +128,6 @@ func (m *Model) capacities() [cluster.NumResources]units.Rate {
 	return caps
 }
 
-// consumerFor converts one task group's current sub-stage into a
-// fairshare consumer: the demand vector is the sub-stage's op bytes
-// (progress is measured in "sub-stage completions", so a rate of x means
-// the task finishes the sub-stage in 1/x seconds), and the per-task cap
-// encodes that a task is a single thread limited to one core's
-// throughput.
-func (m *Model) consumerFor(g TaskGroup, ss workload.SubStage) fairshare.Consumer {
-	c := fairshare.Consumer{Count: g.Parallelism, CapResource: cluster.CPU}
-	maxRate := 0.0
-	for _, op := range ss.Ops {
-		if op.Bytes <= 0 {
-			continue
-		}
-		c.Demand[op.Resource] = float64(op.Bytes)
-		// A single task cannot drive a resource past one node's device
-		// rate (one core's compute, one NIC's line rate, one node's
-		// disks), no matter how idle the cluster-wide pool is.
-		r := float64(m.Spec.Node.PerTaskCap(op.Resource)) / float64(op.Bytes)
-		if maxRate == 0 || r < maxRate {
-			maxRate = r
-			c.CapResource = op.Resource
-		}
-	}
-	c.MaxRate = maxRate
-	return c
-}
-
 // stageKey identifies one pure sub-stage derivation: JobProfile is a
 // flat value type, so the key is comparable and collision-free.
 type stageKey struct {
@@ -231,7 +204,7 @@ func (m *Model) fillRow(sc *evalScratch, i int, g TaskGroup) {
 	default:
 		sc.subs[i] = si.subs[g.SubStage]
 	}
-	sc.consumers[i] = m.consumerFor(g, sc.subs[i])
+	sc.consumers[i] = fairshare.TaskConsumer(m.Spec.Node, sc.subs[i].Ops, g.Parallelism)
 }
 
 // allocateRows runs the allocation over the filled consumer rows. The
@@ -366,7 +339,7 @@ func (m *Model) taskTime(sc *evalScratch, g []TaskGroup, withOps bool) TaskEstim
 	for k := range si.subs {
 		g[0].SubStage = k
 		sc.subs[0] = si.subs[k]
-		sc.consumers[0] = m.consumerFor(g[0], si.subs[k])
+		sc.consumers[0] = fairshare.TaskConsumer(m.Spec.Node, si.subs[k].Ops, g[0].Parallelism)
 		alloc := m.allocateRows(sc)
 		var ss SubStageEstimate
 		if withOps {

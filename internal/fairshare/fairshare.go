@@ -6,10 +6,12 @@
 // max-min fairly by the tasks demanding it, and a task's progress rate is
 // bound by its bottleneck operation.
 //
-// The allocator answers: given resource capacities and task groups — each
-// with a demand vector (bytes of each resource consumed per unit of task
-// progress) and a per-task rate cap — what progress rate does each task
-// sustain, and which resource binds it?
+// The solver, Arena, answers: given resource capacities and task groups —
+// each with a demand vector (bytes of each resource consumed per unit of
+// task progress) and a per-task rate cap — what progress rate does each
+// task sustain, and which resource binds it? TaskConsumer turns a
+// sub-stage into such a group, the same way for the model and the
+// simulator.
 package fairshare
 
 import (
@@ -17,6 +19,7 @@ import (
 
 	"boedag/internal/cluster"
 	"boedag/internal/units"
+	"boedag/internal/workload"
 )
 
 // Consumer is a group of Count identical tasks. Demand[r] is the bytes of
@@ -30,6 +33,30 @@ type Consumer struct {
 	Demand      [cluster.NumResources]float64
 	MaxRate     float64
 	CapResource cluster.Resource
+}
+
+// TaskConsumer is the group of count tasks running one sub-stage with
+// operations ops on nodes shaped like node. A task's demand on a
+// resource is its operation's bytes (progress is measured in sub-stage
+// completions, so a rate of x finishes the sub-stage in 1/x seconds),
+// and its rate cap is the tightest of its operations' single-task
+// ceilings: one task cannot drive a resource past one node's device rate
+// (one core's compute, one NIC's line rate, one node's disks), however
+// idle the pool it shares.
+func TaskConsumer(node cluster.NodeSpec, ops []workload.OpDemand, count int) Consumer {
+	c := Consumer{Count: count, CapResource: cluster.CPU}
+	for _, op := range ops {
+		if op.Bytes <= 0 {
+			continue
+		}
+		c.Demand[op.Resource] = float64(op.Bytes)
+		r := float64(node.PerTaskCap(op.Resource)) / float64(op.Bytes)
+		if c.MaxRate == 0 || r < c.MaxRate {
+			c.MaxRate = r
+			c.CapResource = op.Resource
+		}
+	}
+	return c
 }
 
 // Result reports the outcome of an allocation.
@@ -50,36 +77,12 @@ type Result struct {
 	Bound [][cluster.NumResources]float64
 }
 
-// Allocate computes the fair-queueing equilibrium of usage-based max-min
-// sharing. Each resource is shared max-min *in usage* among the tasks
-// demanding it: a task bound elsewhere consumes only what its progress
-// needs, releasing the rest — exactly how an OS scheduler treats an
-// I/O-bound thread's tiny CPU slice, and the mechanism behind the paper's
-// Figure 1 (a network-bound shuffle does not drag on a CPU-bound map's
-// cores).
-//
-// The equilibrium satisfies, for every consumer i with finite rate not at
-// its own cap: there is a bottleneck resource r where i's per-task usage
-// equals the resource's water-fill level — the largest per-task usage of
-// any consumer on r — and r is fully utilized. It is computed by
-// Gauss-Seidel iteration: each resource water-fills usage among its
-// demanders, where every demander brings the rate ceiling its *other*
-// resources (and per-task cap) impose; ceilings and levels are iterated
-// to a fixed point.
-//
-// Capacity entries that are zero mean "resource absent": any demand on an
-// absent resource pins the consumer to rate zero.
-func Allocate(capacity [cluster.NumResources]units.Rate, consumers []Consumer) Result {
-	var a Arena
-	return *a.Allocate(capacity, consumers)
-}
-
-// Arena holds an allocation's working buffers for reuse across calls —
-// the hot path of repeated solves (the estimator calls an allocation per
-// task-time solve). The Result returned by its methods aliases the arena
-// and is only valid until the next call; the numbers are bit-identical
-// to the package-level functions', which delegate here with a fresh
-// arena.
+// Arena is the fair-share solver: it holds an allocation's working
+// buffers for reuse across calls — the hot path of repeated solves (the
+// estimator solves once per task-time solve, the simulator once per
+// resource pool per event). The Result returned by its methods aliases
+// the arena and is only valid until the next call. A zero Arena is
+// ready to use, and the numbers do not depend on what it solved before.
 type Arena struct {
 	res  Result
 	dead []bool
@@ -105,7 +108,25 @@ func (a *Arena) grow(n int) *Result {
 	return res
 }
 
-// Allocate is the arena variant of the package-level Allocate.
+// Allocate computes the fair-queueing equilibrium of usage-based max-min
+// sharing. Each resource is shared max-min *in usage* among the tasks
+// demanding it: a task bound elsewhere consumes only what its progress
+// needs, releasing the rest — exactly how an OS scheduler treats an
+// I/O-bound thread's tiny CPU slice, and the mechanism behind the paper's
+// Figure 1 (a network-bound shuffle does not drag on a CPU-bound map's
+// cores).
+//
+// The equilibrium satisfies, for every consumer i with finite rate not at
+// its own cap: there is a bottleneck resource r where i's per-task usage
+// equals the resource's water-fill level — the largest per-task usage of
+// any consumer on r — and r is fully utilized. It is computed by
+// Gauss-Seidel iteration: each resource water-fills usage among its
+// demanders, where every demander brings the rate ceiling its *other*
+// resources (and per-task cap) impose; ceilings and levels are iterated
+// to a fixed point.
+//
+// Capacity entries that are zero mean "resource absent": any demand on an
+// absent resource pins the consumer to rate zero.
 func (a *Arena) Allocate(capacity [cluster.NumResources]units.Rate, consumers []Consumer) *Result {
 	n := len(consumers)
 	res := a.grow(n)
@@ -357,12 +378,6 @@ func relDiff(a, b float64) float64 {
 // it, regardless of whether the task can use its share. A task's rate is
 // then the minimum over its demanded resources of share/demand, further
 // clamped by its per-task cap.
-func EqualSplit(capacity [cluster.NumResources]units.Rate, consumers []Consumer) Result {
-	var a Arena
-	return *a.EqualSplit(capacity, consumers)
-}
-
-// EqualSplit is the arena variant of the package-level EqualSplit.
 func (a *Arena) EqualSplit(capacity [cluster.NumResources]units.Rate, consumers []Consumer) *Result {
 	n := len(consumers)
 	res := a.grow(n)

@@ -235,6 +235,8 @@ func (s *Simulator) Run(w *dag.Workflow) (*Result, error) {
 		held:   make(sched.Allocation, len(ordered)),
 	}
 
+	alloc := s.newAllocScratch()
+
 	var running []*simTask
 	stateTracker := newStateTracker(s.opt.Observe, s.trOn, s.m)
 	nodeLoad := make([]int, s.spec.Nodes)
@@ -262,12 +264,7 @@ func (s *Simulator) Run(w *dag.Workflow) (*Result, error) {
 		stateTracker.observe(now, running)
 
 		// Allocate resources among working tasks and find the next event.
-		var util [cluster.NumResources]float64
-		if s.opt.NodeAware {
-			util = s.allocateNodeAware(running)
-		} else {
-			util = s.allocate(running)
-		}
+		util := s.allocate(running, alloc)
 		next := math.Inf(1)
 		for _, t := range running {
 			var eta float64
@@ -497,6 +494,75 @@ type schedScratch struct {
 	held   sched.Allocation
 }
 
+// allocScratch holds allocate's resource pools and buffers, reused
+// across event-loop iterations. Aggregate mode has one pool holding the
+// whole cluster's capacity; NodeAware mode has one pool per node.
+type allocScratch struct {
+	capacity  [cluster.NumResources]units.Rate // of each pool
+	pools     [][]*simTask                     // working tasks by pool
+	consumers []fairshare.Consumer
+	arena     fairshare.Arena
+}
+
+func (s *Simulator) newAllocScratch() *allocScratch {
+	sc := &allocScratch{pools: make([][]*simTask, 1)}
+	for _, r := range cluster.Resources() {
+		sc.capacity[r] = s.spec.TotalCapacity(r)
+	}
+	if s.opt.NodeAware {
+		sc.pools = make([][]*simTask, s.spec.Nodes)
+		for _, r := range cluster.Resources() {
+			sc.capacity[r] = s.spec.Node.Capacity(r)
+		}
+	}
+	return sc
+}
+
+// allocate shares each resource pool among the working tasks drawing on
+// it, stores every task's progress rate and current bottleneck, and
+// returns the utilization per resource class averaged over the pools.
+// A task placed on a node draws only on that node's CPU, disks and NIC,
+// so the per-node problems are independent and each is solved on its
+// own.
+func (s *Simulator) allocate(running []*simTask, sc *allocScratch) [cluster.NumResources]float64 {
+	for p := range sc.pools {
+		sc.pools[p] = sc.pools[p][:0]
+	}
+	for _, t := range running {
+		if t.delay > 0 || t.done() {
+			continue
+		}
+		p := 0
+		if s.opt.NodeAware {
+			p = t.node
+		}
+		sc.pools[p] = append(sc.pools[p], t)
+	}
+	var util [cluster.NumResources]float64
+	for _, tasks := range sc.pools {
+		if len(tasks) == 0 {
+			continue
+		}
+		sc.consumers = sc.consumers[:0]
+		for _, t := range tasks {
+			sc.consumers = append(sc.consumers, fairshare.TaskConsumer(s.spec.Node, t.subStages[t.cur].Ops, 1))
+		}
+		// The result aliases the arena: read it out before the next pool.
+		res := sc.arena.Allocate(sc.capacity, sc.consumers)
+		for k, t := range tasks {
+			t.rate = res.Rate[k]
+			t.bottleneck = res.Bottleneck[k]
+		}
+		for r := range util {
+			util[r] += res.Utilization[r]
+		}
+	}
+	for r := range util {
+		util[r] /= float64(len(sc.pools))
+	}
+	return util
+}
+
 // schedule grants containers under the configured policy and launches
 // pending tasks; in NodeAware mode each launch is placed on the
 // least-loaded node. jobs must be sorted by ID (the tie-break order).
@@ -638,49 +704,6 @@ func (s *Simulator) preempt(j *simJob, n int, running *[]*simTask, now float64, 
 	}
 	*running = kept
 	return n
-}
-
-// allocate shares the cluster's resource pools among working tasks,
-// stores each task's progress rate and current bottleneck, and returns
-// the cluster-wide utilization per resource class.
-func (s *Simulator) allocate(running []*simTask) [cluster.NumResources]float64 {
-	var caps [cluster.NumResources]units.Rate
-	for _, r := range cluster.Resources() {
-		caps[r] = s.spec.TotalCapacity(r)
-	}
-	var consumers []fairshare.Consumer
-	var idx []int
-	for i, t := range running {
-		if t.delay > 0 || t.done() {
-			continue
-		}
-		ss := t.subStages[t.cur]
-		c := fairshare.Consumer{Count: 1, CapResource: cluster.CPU}
-		for _, op := range ss.Ops {
-			if op.Bytes <= 0 {
-				continue
-			}
-			c.Demand[op.Resource] = float64(op.Bytes)
-			// One task cannot exceed one node's device rates (see the BOE
-			// model's consumerFor; model and simulator share the physics).
-			r := float64(s.spec.Node.PerTaskCap(op.Resource)) / float64(op.Bytes)
-			if c.MaxRate == 0 || r < c.MaxRate {
-				c.MaxRate = r
-				c.CapResource = op.Resource
-			}
-		}
-		consumers = append(consumers, c)
-		idx = append(idx, i)
-	}
-	if len(consumers) == 0 {
-		return [cluster.NumResources]float64{}
-	}
-	alloc := fairshare.Allocate(caps, consumers)
-	for k, i := range idx {
-		running[i].rate = alloc.Rate[k]
-		running[i].bottleneck = alloc.Bottleneck[k]
-	}
-	return alloc.Utilization
 }
 
 // finishTask converts a completed task into its record and folds its
@@ -897,58 +920,4 @@ func leastLoaded(load []int) int {
 		}
 	}
 	return best
-}
-
-// allocateNodeAware shares per-node resource pools among working tasks:
-// a task's CPU and disk demands hit the pools of the node it is placed
-// on, its network demand hits that node's NIC. The resource index space
-// is node*NumResources + resource.
-func (s *Simulator) allocateNodeAware(running []*simTask) [cluster.NumResources]float64 {
-	nRes := s.spec.Nodes * cluster.NumResources
-	caps := make([]float64, nRes)
-	for node := 0; node < s.spec.Nodes; node++ {
-		for _, r := range cluster.Resources() {
-			caps[node*cluster.NumResources+int(r)] = float64(s.spec.Node.Capacity(r))
-		}
-	}
-	var consumers []fairshare.VecConsumer
-	var idx []int
-	for i, t := range running {
-		if t.delay > 0 || t.done() || t.node < 0 {
-			continue
-		}
-		ss := t.subStages[t.cur]
-		c := fairshare.VecConsumer{Count: 1, Demand: make([]float64, nRes)}
-		base := t.node * cluster.NumResources
-		for _, op := range ss.Ops {
-			c.Demand[base+int(op.Resource)] = float64(op.Bytes)
-			if op.Resource == cluster.CPU && op.Bytes > 0 {
-				c.MaxRate = float64(s.spec.Node.PerTaskCap(cluster.CPU)) / float64(op.Bytes)
-			}
-		}
-		consumers = append(consumers, c)
-		idx = append(idx, i)
-	}
-	var util [cluster.NumResources]float64
-	if len(consumers) == 0 {
-		return util
-	}
-	alloc := fairshare.AllocateVec(caps, consumers)
-	for k, i := range idx {
-		running[i].rate = alloc.Rate[k]
-		if bn := alloc.Bottleneck[k]; bn >= 0 {
-			running[i].bottleneck = cluster.Resource(bn % cluster.NumResources)
-		} else {
-			running[i].bottleneck = cluster.CPU
-		}
-	}
-	// Average each class over the nodes: the cluster-wide view.
-	for r := 0; r < cluster.NumResources; r++ {
-		sum := 0.0
-		for node := 0; node < s.spec.Nodes; node++ {
-			sum += alloc.Utilization[node*cluster.NumResources+r]
-		}
-		util[r] = sum / float64(s.spec.Nodes)
-	}
-	return util
 }

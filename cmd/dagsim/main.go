@@ -23,7 +23,7 @@
 // synth-10k are the canonical 1 000- and 10 000-job points (simulating
 // them takes correspondingly long; the incremental estimator is far
 // faster, but a 10k-job estimate still takes close to a minute — see
-// BenchmarkEstimate10kJobs in hack/bench_baseline.json).
+// BenchmarkEstimate10kJobs in internal/statemodel).
 package main
 
 import (

@@ -1,107 +1,244 @@
-// Command benchgate is the perf-ledger gate behind hack/verify.sh: it
-// validates BENCH_*.json files and compares a fresh ledger against the
-// committed baseline with a relative tolerance band, benchstat-style —
-// every tracked quantity is printed with its delta, and any regression
-// (or vanished benchmark) fails the run.
+// Command benchgate is the micro-benchmark regression gate behind
+// hack/verify.sh. It reads two files of raw `go test -bench -benchmem
+// -count N` output — the committed baseline and a fresh run of the same
+// recipe (hack/benchsamples.sh) — and, for every benchmark, holds the
+// fresh ns/op and allocs/op samples against the baseline's.
+//
+// A unit regresses when both of these hold: its fresh median is more
+// than -tol above the baseline median, and every fresh sample lies
+// above every baseline sample. The second condition keeps one noisy
+// sample, or a shift smaller than the run-to-run spread, from failing
+// the gate. A benchmark present on one side only, or a gated unit
+// missing from either side (a run without -benchmem has no allocs/op),
+// fails too: the gate cannot pass on coverage it did not measure.
 //
 // Usage:
 //
-//	benchgate -validate FILE...
-//	benchgate -base hack/bench_baseline.json -new /tmp/BENCH_fresh.json -tol 0.75
-//	benchgate -base ... -new ... -inject 2.0   # self-test: must fail
+//	benchgate -base hack/bench_baseline.txt -new fresh.txt -tol 0.2
+//	benchgate -base fresh.txt -new fresh.txt -tol 0.2 -inject 1.3   # self-check: must fail
 //
-// -inject multiplies the fresh ledger's latencies and ns/op (and divides
-// its throughput) by the given factor before comparing. verify.sh uses
-// it to prove the gate actually fires: a run with -inject 2.0 must exit
-// non-zero, or the gate is decorative.
+// -inject multiplies every fresh ns/op and allocs/op sample by the given
+// factor before comparing. verify.sh compares a fresh run against
+// itself with -inject 1.3 to prove the gate fires on a 1.3× slowdown.
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-
-	"boedag/internal/perfledger"
+	"slices"
+	"sort"
+	"strconv"
+	"strings"
 )
 
+// gatedUnits are the units the gate compares, in report order.
+var gatedUnits = []string{"ns/op", "allocs/op"}
+
+// samples maps a benchmark name (GOMAXPROCS suffix stripped) to its
+// values per unit, one value per result line, in input order.
+type samples map[string]map[string][]float64
+
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, prints the report to stdout and
+// returns the exit code (0 pass, 1 fail or error, 2 usage).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		validate = flag.Bool("validate", false, "validate the ledger files given as arguments")
-		base     = flag.String("base", "", "baseline ledger (the committed trajectory point)")
-		fresh    = flag.String("new", "", "fresh ledger to hold against the baseline")
-		tol      = flag.Float64("tol", 0.75, "relative tolerance band (0.75 = fail beyond 1.75x slowdown)")
-		inject   = flag.Float64("inject", 1, "multiply fresh latencies and ns/op by this factor first (gate self-test)")
+		base   = fs.String("base", "", "baseline go-bench output")
+		fresh  = fs.String("new", "", "fresh go-bench output to hold against the baseline")
+		tol    = fs.Float64("tol", 0.2, "relative median tolerance (0.2 = a median more than 1.2x the baseline's can fail)")
+		inject = fs.Float64("inject", 1, "multiply fresh ns/op and allocs/op by this factor first (gate self-check)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil || *base == "" || *fresh == "" || fs.NArg() > 0 {
+		fs.Usage()
+		return 2
+	}
+	b, err := parseFile(*base)
+	if err != nil {
+		fmt.Fprintln(stderr, "benchgate:", err)
+		return 1
+	}
+	f, err := parseFile(*fresh)
+	if err != nil {
+		fmt.Fprintln(stderr, "benchgate:", err)
+		return 1
+	}
+	if *inject != 1 {
+		scale(f, *inject)
+		fmt.Fprintf(stdout, "injected a synthetic %.2fx slowdown into %s\n", *inject, *fresh)
+	}
+	return report(stdout, compare(b, f, *tol), *tol)
+}
 
-	switch {
-	case *validate:
-		if flag.NArg() == 0 {
-			fatal(fmt.Errorf("-validate needs ledger files as arguments"))
+// report prints one line per verdict and a closing summary naming every
+// failure, and returns the exit code.
+func report(w io.Writer, verdicts []verdict, tol float64) int {
+	fmt.Fprintf(w, "%-34s %-10s %14s %14s %7s\n", "benchmark", "unit", "base median", "new median", "ratio")
+	var failed []string
+	for _, v := range verdicts {
+		if v.problem != "" {
+			failed = append(failed, strings.TrimSpace(v.name+" "+v.unit))
 		}
-		for _, path := range flag.Args() {
-			l, err := perfledger.Read(path)
+		if v.unit == "" {
+			fmt.Fprintf(w, "%-34s %s\n", v.name, v.problem)
+			continue
+		}
+		fmt.Fprintf(w, "%-34s %-10s %14.6g %14.6g %6.2fx  %s\n",
+			v.name, v.unit, v.base, v.fresh, v.ratio(), v.problem)
+	}
+	if len(failed) > 0 {
+		fmt.Fprintf(w, "FAIL: %s\n", strings.Join(failed, ", "))
+		return 1
+	}
+	fmt.Fprintf(w, "gate OK: no median more than %.0f%% above the baseline with separated samples\n", tol*100)
+	return 0
+}
+
+// verdict is the gate's finding for one benchmark and unit; unit is
+// empty when the whole benchmark is missing from one side.
+type verdict struct {
+	name, unit  string
+	base, fresh float64 // medians
+	problem     string  // empty when the unit passes
+}
+
+func (v verdict) ratio() float64 {
+	if v.base == 0 {
+		return 0
+	}
+	return v.fresh / v.base
+}
+
+// compare applies the gate rule to every benchmark either side ran,
+// in name order.
+func compare(base, fresh samples, tol float64) []verdict {
+	names := make([]string, 0, len(base)+len(fresh))
+	for name := range base {
+		names = append(names, name)
+	}
+	for name := range fresh {
+		if base[name] == nil {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	var out []verdict
+	for _, name := range names {
+		b, f := base[name], fresh[name]
+		switch {
+		case f == nil:
+			out = append(out, verdict{name: name, problem: "MISSING from the new run"})
+			continue
+		case b == nil:
+			out = append(out, verdict{name: name, problem: "MISSING from the baseline"})
+			continue
+		}
+		for _, unit := range gatedUnits {
+			v := verdict{name: name, unit: unit}
+			bs, fs := b[unit], f[unit]
+			switch {
+			case len(bs) == 0:
+				v.problem = "MISSING from the baseline"
+			case len(fs) == 0:
+				v.problem = "MISSING from the new run"
+			default:
+				v.base, v.fresh = median(bs), median(fs)
+				if v.fresh > v.base*(1+tol) && slices.Min(fs) > slices.Max(bs) {
+					v.problem = "REGRESSED"
+				}
+			}
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// scale multiplies every gated sample by factor.
+func scale(s samples, factor float64) {
+	for _, units := range s {
+		for _, unit := range gatedUnits {
+			for i := range units[unit] {
+				units[unit][i] *= factor
+			}
+		}
+	}
+}
+
+func parseFile(path string) (samples, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	s, err := parse(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return s, nil
+}
+
+// parse reads `go test -bench` output. Lines that do not start with
+// "Benchmark" (goos/pkg headers, PASS/ok trailers) are skipped; every
+// line that does must be a result line — name, iteration count, then
+// value/unit pairs — or the whole input is rejected. A name's
+// -GOMAXPROCS suffix is stripped so runs compare across machines, and
+// repeated runs of one benchmark (-count > 1) stay separate samples.
+func parse(r io.Reader) (samples, error) {
+	out := make(samples)
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	for line := 1; sc.Scan(); line++ {
+		fields := strings.Fields(sc.Text())
+		if len(fields) == 0 || !strings.HasPrefix(fields[0], "Benchmark") {
+			continue
+		}
+		if len(fields) < 4 || len(fields)%2 != 0 {
+			return nil, fmt.Errorf("line %d: not a benchmark result: %q", line, sc.Text())
+		}
+		name := fields[0]
+		if i := strings.LastIndexByte(name, '-'); i > 0 {
+			if _, err := strconv.Atoi(name[i+1:]); err == nil {
+				name = name[:i]
+			}
+		}
+		if n, err := strconv.ParseInt(fields[1], 10, 64); err != nil || n < 1 {
+			return nil, fmt.Errorf("line %d: bad iteration count %q", line, fields[1])
+		}
+		units := out[name]
+		if units == nil {
+			units = make(map[string][]float64)
+			out[name] = units
+		}
+		for i := 2; i < len(fields); i += 2 {
+			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				fatal(err)
+				return nil, fmt.Errorf("line %d: bad value %q", line, fields[i])
 			}
-			fmt.Printf("%s: valid (schema %d, source %s)\n", path, l.Schema, l.Source)
+			units[fields[i+1]] = append(units[fields[i+1]], v)
 		}
-	case *base != "" && *fresh != "":
-		b, err := perfledger.Read(*base)
-		if err != nil {
-			fatal(err)
-		}
-		f, err := perfledger.Read(*fresh)
-		if err != nil {
-			fatal(err)
-		}
-		if *inject != 1 {
-			slowDown(&f, *inject)
-			fmt.Printf("injected a synthetic %.2fx slowdown into %s\n", *inject, *fresh)
-		}
-		deltas := perfledger.Compare(b, f, *tol)
-		if len(deltas) == 0 {
-			fatal(fmt.Errorf("nothing to compare between %s and %s", *base, *fresh))
-		}
-		fmt.Printf("%-44s %12s %12s %8s\n", "quantity", "base", "new", "ratio")
-		for _, d := range deltas {
-			mark := ""
-			if d.Missing {
-				mark = "  MISSING"
-			} else if d.Regressed {
-				mark = "  REGRESSED"
-			}
-			fmt.Printf("%-44s %12.4g %12.4g %7.2fx%s\n", d.Name, d.Old, d.New, d.Ratio, mark)
-		}
-		if regs := perfledger.Regressions(deltas); len(regs) > 0 {
-			fmt.Printf("FAIL: %d quantities regressed beyond the %.0f%% band\n",
-				len(regs), *tol*100)
-			os.Exit(1)
-		}
-		fmt.Printf("gate OK: all quantities within the %.0f%% band\n", *tol*100)
-	default:
-		flag.Usage()
-		os.Exit(2)
 	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("no benchmark results found")
+	}
+	return out, nil
 }
 
-// slowDown degrades a ledger in place: the synthetic regression the
-// gate's self-test injects.
-func slowDown(l *perfledger.Ledger, factor float64) {
-	if s := l.Service; s != nil {
-		s.ThroughputRPS /= factor
-		s.Latency.MeanS *= factor
-		s.Latency.P50S *= factor
-		s.Latency.P90S *= factor
-		s.Latency.P99S *= factor
-		s.Latency.MaxS *= factor
+func median(xs []float64) float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
 	}
-	for i := range l.Benchmarks {
-		l.Benchmarks[i].NsPerOp *= factor
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchgate:", err)
-	os.Exit(1)
+	return (s[n/2-1] + s[n/2]) / 2
 }

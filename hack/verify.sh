@@ -4,10 +4,12 @@
 #   per-package coverage gate (hack/coverage_baseline.txt), the trace
 #   parser / request decoder / hierarchical allocator / cache snapshot
 #   fuzz smokes, the scheduler property suite under -race, the fleet
-#   smoke (sharded-tier race suites plus a zero-error 3-node load run),
-#   the boedagbench ledger smoke, the perf regression
-#   gate (hack/bench_baseline.json, with an injected-slowdown
-#   self-check), the instrumentation-overhead guard (disabled-path
+#   smoke (sharded-tier race suites plus a 3-node perfbench fleet-hot
+#   run with no failed request), one-shot benchmark smokes (parallel
+#   sweep, node-aware simulation, a 10k-job estimate), the micro-benchmark
+#   regression gate (repeated go-bench samples against
+#   hack/bench_baseline.txt, with a self-check that an injected 1.3x
+#   slowdown fails), the instrumentation-overhead guard (disabled-path
 #   observability must stay within 5% of an uninstrumented run), the
 #   OTLP export shape check, and the explainability smoke (explain suite
 #   under -race, /v1/explain conformance, Prometheus exposition golden).
@@ -16,7 +18,7 @@
 #   -quick skips the full race detector run, the regression gate, and
 #   the overhead benchmark (the streaming-bus tests and the incremental
 #   equivalence suite still run under -race, and the coverage, fuzz,
-#   10k-estimate, ledger and OTLP checks still run).
+#   10k-estimate and OTLP checks still run).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -111,19 +113,14 @@ fuzz_smoke() {
 
 # fleet_smoke pins the sharded-fleet tier: the ring/proxy/fleettest
 # suites under -race (byte-identity, fault injection, warm restart, SSE
-# through the proxy), then a short boedagbench run against an in-process
-# 3-node fleet that must complete without a single failed request.
+# through the proxy), then a short perfbench fleet-hot run against an
+# in-process 3-node fleet. perfbench exits non-zero on any failed
+# request or any answer that differs from a solo server's bytes.
 fleet_smoke() {
     echo "== fleet race check =="
     go test -race -count=1 ./internal/fleet/...
-    echo "== fleet load smoke (3 nodes, zero errors required) =="
-    local out
-    out=$(go run ./cmd/boedagbench -inprocess -fleet 3 -duration 2s -warmup 500ms -seed 1)
-    echo "$out" | sed 's/^/  /'
-    if ! echo "$out" | grep -q '(0 errors)'; then
-        echo "FAIL: fleet load smoke saw request errors" >&2
-        exit 1
-    fi
+    echo "== fleet load smoke (3 nodes, no failed or mismatched request) =="
+    bash perfbench/run.sh --workload fleet-hot --seed 1 --seconds 2 --trace 0 | sed 's/^/  /'
 }
 
 # explain_smoke pins the explainability surface: the internal/explain
@@ -142,86 +139,50 @@ explain_smoke() {
 # sub-benchmark — a cheap guard that the evalpool fan-out path stays
 # runnable; real speedup numbers need a longer -benchtime on a
 # multi-core machine. It also runs one node-aware simulation at paper
-# scale, where every event solves each node's pools.
+# scale, where every event solves each node's pools, and one estimate of
+# the 10k-job synthetic workflow so the scale path stays runnable.
 bench_smoke() {
     echo "== parallel sweep benchmark smoke =="
     go test ./internal/experiments -run '^$' -bench BenchmarkSweepParallel -benchtime 1x
     echo "== node-aware simulator benchmark smoke =="
     go test ./internal/simulator -run '^$' -bench 'BenchmarkSimulateNodeAware$' -benchtime 1x
-}
-
-# incremental_smoke pins the incremental estimator's contract: the
-# equivalence suite (incremental byte-identical to from-scratch across
-# the registry, synthetic DAGs, and concurrent pooled-scratch use) under
-# the race detector, and one estimate of the 10k-job synthetic workflow
-# so the scale path stays runnable. The full gate covers the former via
-# the whole-suite race run and the latter via fresh_ledger.
-incremental_smoke() {
-    echo "== incremental equivalence race check =="
-    go test -race -count=1 -run 'Incremental|SharePool|RepeatEstimate' \
-        ./internal/statemodel
     echo "== 10k-job estimate smoke =="
     go test ./internal/statemodel -run '^$' \
         -bench 'BenchmarkEstimate10kJobs$' -benchtime 1x
 }
 
-# ledger_smoke runs a short boedagbench load against an in-process
-# server, checks the written BENCH_*.json validates, and validates the
-# committed ledgers too (baseline and the repo-root trajectory points).
-ledger_smoke() {
-    echo "== boedagbench ledger smoke =="
-    local tmp
-    tmp=$(mktemp -d)
-    go run ./cmd/boedagbench -inprocess -duration 2s -warmup 500ms -seed 1 \
-        -label smoke -out "$tmp/BENCH_smoke.json"
-    go run ./hack/benchgate -validate "$tmp/BENCH_smoke.json" \
-        hack/bench_baseline.json BENCH_*.json
-    rm -rf "$tmp"
+# incremental_smoke pins the incremental estimator's contract: the
+# equivalence suite (incremental byte-identical to from-scratch across
+# the registry, synthetic DAGs, and concurrent pooled-scratch use) under
+# the race detector. The full gate covers it via the whole-suite race
+# run.
+incremental_smoke() {
+    echo "== incremental equivalence race check =="
+    go test -race -count=1 -run 'Incremental|SharePool|RepeatEstimate' \
+        ./internal/statemodel
 }
 
-# fresh_ledger produces a gate-comparable ledger at $1: the same seeded
-# service load and the same micro-benchmarks the committed baseline
-# records (see hack/bench_baseline.json — regenerate both the same way).
-fresh_ledger() {
-    local tmp
-    tmp=$(dirname "$1")
-    go test -run '^$' -bench 'BenchmarkEstimatorAllocs$' -benchtime 100x \
-        ./internal/statemodel > "$tmp/gobench.txt"
-    go test -run '^$' -bench 'BenchmarkFigure4BOEExample$' -benchtime 100x \
-        . >> "$tmp/gobench.txt"
-    go test -run '^$' -bench 'BenchmarkEstimate10kJobs$' -benchtime 1x \
-        ./internal/statemodel >> "$tmp/gobench.txt"
-    go test -run '^$' -bench 'Reestimate$' -benchtime 5x \
-        ./internal/statemodel >> "$tmp/gobench.txt"
-    go test -run '^$' -bench 'BenchmarkHierarchicalAllocate$' -benchtime 100x \
-        ./internal/sched >> "$tmp/gobench.txt"
-    go test -run '^$' -bench 'BenchmarkStreamPolicySweep$' -benchtime 3x \
-        ./internal/sched >> "$tmp/gobench.txt"
-    go test -run '^$' -bench 'BenchmarkFleetEstimate$' -benchtime 50x \
-        ./internal/fleet >> "$tmp/gobench.txt"
-    go run ./cmd/boedagbench -inprocess -duration 3s -warmup 1s -seed 1 \
-        -gobench "$tmp/gobench.txt" -label verify -out "$1"
-}
-
-# regression_gate holds a fresh measurement against the committed
-# baseline with a generous tolerance band (machine-to-machine noise is
-# real; sustained regressions are not), then proves the gate can fail at
-# all by injecting a synthetic 2x slowdown and requiring a non-zero exit.
+# regression_gate holds fresh go-bench samples (hack/benchsamples.sh)
+# against the committed hack/bench_baseline.txt: a benchmark's ns/op or
+# allocs/op fails when its median is more than 20% above the baseline's
+# and its samples all lie above the baseline's. The self-check needs no
+# baseline, so it holds on any machine: the fresh samples pass against
+# themselves and fail once scaled by 1.3.
 regression_gate() {
-    echo "== perf regression gate (vs hack/bench_baseline.json) =="
-    local tmp
+    echo "== perf regression gate (vs hack/bench_baseline.txt) =="
+    local tmp out
     tmp=$(mktemp -d)
-    fresh_ledger "$tmp/BENCH_fresh.json"
-    go run ./hack/benchgate -base hack/bench_baseline.json \
-        -new "$tmp/BENCH_fresh.json" -tol 0.75
-    echo "== regression gate self-check (injected 2x slowdown must fail) =="
-    if go run ./hack/benchgate -base hack/bench_baseline.json \
-        -new "$tmp/BENCH_fresh.json" -tol 0.75 -inject 2.0 > /dev/null; then
-        echo "FAIL: the gate passed an injected 2x regression" >&2
+    hack/benchsamples.sh > "$tmp/fresh.txt"
+    go run ./hack/benchgate -base hack/bench_baseline.txt -new "$tmp/fresh.txt" -tol 0.2
+    echo "== regression gate self-check (fresh vs itself; x1.3 must fail) =="
+    go run ./hack/benchgate -base "$tmp/fresh.txt" -new "$tmp/fresh.txt" -tol 0.2 > /dev/null
+    if out=$(go run ./hack/benchgate -base "$tmp/fresh.txt" -new "$tmp/fresh.txt" \
+        -tol 0.2 -inject 1.3 2> /dev/null); then
+        echo "FAIL: the gate passed an injected 1.3x regression" >&2
         rm -rf "$tmp"
         exit 1
     fi
-    echo "  gate correctly rejected the injected regression"
+    echo "$out" | grep '^FAIL:' | sed 's/^FAIL:/  flagged at 1.3x:/'
     rm -rf "$tmp"
 }
 
@@ -256,7 +217,6 @@ if [[ $quick -eq 1 ]]; then
     fleet_smoke
     fuzz_smoke
     bench_smoke
-    ledger_smoke
     otlp_check
     echo "verify OK (quick)"
     exit 0
@@ -270,7 +230,6 @@ explain_smoke
 fleet_smoke
 fuzz_smoke
 bench_smoke
-ledger_smoke
 otlp_check
 regression_gate
 

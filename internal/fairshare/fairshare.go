@@ -69,12 +69,6 @@ type Result struct {
 	Bottleneck []cluster.Resource
 	// Utilization[r] is the fraction of resource r's capacity in use.
 	Utilization [cluster.NumResources]float64
-	// Bound[i][r] is the progress-rate ceiling resource r alone imposes on
-	// consumer i — the paper's per-operation t_X = D_X/(μ_X(Δ)·θ_X)
-	// denominators. +Inf where r is not demanded. The per-task cap
-	// MaxRate counts toward its CapResource's bound, so a live consumer's
-	// rate is the minimum of its bounds.
-	Bound [][cluster.NumResources]float64
 }
 
 // Arena is the fair-share solver: it holds an allocation's working
@@ -84,10 +78,11 @@ type Result struct {
 // the arena and is only valid until the next call. A zero Arena is
 // ready to use, and the numbers do not depend on what it solved before.
 type Arena struct {
-	res  Result
-	dead []bool
-	ds   []demander
-	srt  sortScratch
+	res   Result
+	bound [][cluster.NumResources]float64
+	dead  []bool
+	ds    []demander
+	srt   sortScratch
 }
 
 // grow resizes the result buffers for n consumers and clears the fields
@@ -97,12 +92,12 @@ func (a *Arena) grow(n int) *Result {
 	if cap(res.Rate) < n {
 		res.Rate = make([]float64, n)
 		res.Bottleneck = make([]cluster.Resource, n)
-		res.Bound = make([][cluster.NumResources]float64, n)
+		a.bound = make([][cluster.NumResources]float64, n)
 		a.dead = make([]bool, n)
 	}
 	res.Rate = res.Rate[:n]
 	res.Bottleneck = res.Bottleneck[:n]
-	res.Bound = res.Bound[:n]
+	a.bound = a.bound[:n]
 	a.dead = a.dead[:n]
 	res.Utilization = [cluster.NumResources]float64{}
 	return res
@@ -133,7 +128,7 @@ func (a *Arena) Allocate(capacity [cluster.NumResources]units.Rate, consumers []
 
 	// bound[i][r] is the rate ceiling resource r imposes on consumer i
 	// (+Inf when r is not demanded or not yet constraining).
-	bound := res.Bound
+	bound := a.bound
 	dead := a.dead // demands an absent resource, or empty group
 	for i, c := range consumers {
 		res.Rate[i] = 0
@@ -218,7 +213,6 @@ func (a *Arena) Allocate(capacity [cluster.NumResources]units.Rate, consumers []
 		bn := c.CapResource
 		if c.MaxRate > 0 {
 			rate = c.MaxRate
-			res.Bound[i][c.CapResource] = math.Min(res.Bound[i][c.CapResource], c.MaxRate)
 		}
 		for r := 0; r < cluster.NumResources; r++ {
 			if c.Demand[r] <= 0 {
@@ -392,9 +386,6 @@ func (a *Arena) EqualSplit(capacity [cluster.NumResources]units.Rate, consumers 
 	for i, c := range consumers {
 		res.Rate[i] = 0
 		res.Bottleneck[i] = 0
-		for r := range res.Bound[i] {
-			res.Bound[i][r] = math.Inf(1)
-		}
 		if c.Count <= 0 {
 			continue
 		}
@@ -402,7 +393,6 @@ func (a *Arena) EqualSplit(capacity [cluster.NumResources]units.Rate, consumers 
 		bottleneck := c.CapResource
 		if c.MaxRate > 0 {
 			rate = c.MaxRate
-			res.Bound[i][c.CapResource] = c.MaxRate
 		}
 		for r := 0; r < cluster.NumResources; r++ {
 			if c.Demand[r] <= 0 {
@@ -410,12 +400,10 @@ func (a *Arena) EqualSplit(capacity [cluster.NumResources]units.Rate, consumers 
 			}
 			if capacity[r] <= 0 {
 				rate, bottleneck = 0, cluster.Resource(r)
-				res.Bound[i][r] = 0
 				break
 			}
 			share := float64(capacity[r]) / float64(users[r])
 			v := share / c.Demand[r]
-			res.Bound[i][r] = math.Min(res.Bound[i][r], v)
 			if v < rate {
 				rate, bottleneck = v, cluster.Resource(r)
 			}

@@ -375,11 +375,10 @@ func TestDisjointResourceGroupsIndependent(t *testing.T) {
 	}
 }
 
-// TestBoundAttributesCapToCapResource: a network-capped consumer's
-// MaxRate bounds its network column, not its CPU column, under both
-// allocators — and attributing it moves no bit of the rates,
-// bottlenecks or utilizations.
-func TestBoundAttributesCapToCapResource(t *testing.T) {
+// TestCapBindsOnCapResource: a network-capped consumer runs at its
+// MaxRate with network as its bottleneck under both allocators, and the
+// rates, bottlenecks and utilizations keep their exact bits.
+func TestCapBindsOnCapResource(t *testing.T) {
 	var capped, cpu Consumer
 	capped.Count, capped.MaxRate, capped.CapResource = 4, 5, cluster.Network
 	capped.Demand[cluster.CPU] = mb
@@ -387,22 +386,17 @@ func TestBoundAttributesCapToCapResource(t *testing.T) {
 	cpu.Count = 2
 	cpu.Demand[cluster.CPU] = 10 * mb
 	consumers := []Consumer{capped, cpu}
-	inf := math.Inf(1)
 	for _, c := range []struct {
 		name           string
 		res            *Result
-		bound          [cluster.NumResources]float64
-		rate1, cpuUtil uint64 // bits before the cap was attributed
+		rate1, cpuUtil uint64
 	}{
 		{"allocate", new(Arena).Allocate(caps(400, 500, 500, 100), consumers),
-			[cluster.NumResources]float64{190, inf, inf, 5}, 0x4033000000000000, 0x3ff0000000000000},
+			0x4033000000000000, 0x3ff0000000000000},
 		{"equal-split", new(Arena).EqualSplit(caps(400, 500, 500, 100), consumers),
-			[cluster.NumResources]float64{400.0 / 6, inf, inf, 5}, 0x401aaaaaaaaaaaab, 0x3fd8888888888889},
+			0x401aaaaaaaaaaaab, 0x3fd8888888888889},
 	} {
 		res := c.res
-		if res.Bound[0] != c.bound {
-			t.Errorf("%s: capped consumer bounds %v, want %v", c.name, res.Bound[0], c.bound)
-		}
 		if math.Float64bits(res.Rate[0]) != 0x4014000000000000 || res.Bottleneck[0] != cluster.Network {
 			t.Errorf("%s: capped consumer rate %v on %v, want 5 on network", c.name, res.Rate[0], res.Bottleneck[0])
 		}

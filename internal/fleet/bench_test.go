@@ -13,8 +13,8 @@ import (
 // BenchmarkFleetEstimate measures one request through the fleet tier: a
 // 3-node in-process ring, requests round-robined across nodes, a small
 // scenario mix so the steady state exercises shard routing, single-hop
-// proxying, and the owner's cache rather than the estimator itself. The
-// number rides in the perf ledger (hack/verify.sh fresh_ledger) so proxy
+// proxying, and the owner's cache rather than the estimator itself. It
+// is in the regression gate's set (hack/benchsamples.sh) so proxy
 // overhead regressions trip the gate.
 func BenchmarkFleetEstimate(b *testing.B) {
 	c := fleettest.New(b, 3, fleettest.Options{})

@@ -14,10 +14,10 @@ func (r *benchRand) Intn(n int) int {
 	return int((r.s >> 33) % uint64(n))
 }
 
-// The allocator benchmarks pin the scheduling hot paths for the perf
-// ledger (hack/bench_baseline.json): one hierarchical allocation round
-// over a realistic multi-tenant tree with reclaim pressure, and one full
-// arrival-stream replay per policy.
+// The allocator benchmarks pin the scheduling hot paths for the
+// regression gate (hack/bench_baseline.txt): one hierarchical
+// allocation round over a realistic multi-tenant tree with reclaim
+// pressure, and one full arrival-stream replay per policy.
 
 // benchHierarchy builds a 3-tenant × 4-subqueue tree with mixed quotas,
 // weights, and limits.

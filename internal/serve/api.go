@@ -10,7 +10,6 @@ import (
 
 	"boedag/internal/cluster"
 	"boedag/internal/dag"
-	"boedag/internal/perfledger"
 	"boedag/internal/statemodel"
 )
 
@@ -146,11 +145,24 @@ type WorkflowsResponse struct {
 }
 
 // VersionResponse is the 200 body of GET /version: the running daemon's
-// build identity in the perfledger interchange shape, so boedagbench can
-// copy it verbatim into a ledger's service.target_build.
+// build identity and how long it has been up.
 type VersionResponse struct {
-	Build   perfledger.BuildInfo `json:"build"`
-	UptimeS float64              `json:"uptime_s"`
+	Build   BuildInfo `json:"build"`
+	UptimeS float64   `json:"uptime_s"`
+}
+
+// BuildInfo identifies the binary and machine serving requests.
+type BuildInfo struct {
+	GoVersion   string `json:"go_version"`
+	GOOS        string `json:"goos"`
+	GOARCH      string `json:"goarch"`
+	GOMAXPROCS  int    `json:"gomaxprocs"`
+	NumCPU      int    `json:"num_cpu"`
+	Module      string `json:"module,omitempty"`
+	Version     string `json:"version,omitempty"`
+	VCSRevision string `json:"vcs_revision,omitempty"`
+	VCSTime     string `json:"vcs_time,omitempty"`
+	VCSModified bool   `json:"vcs_modified,omitempty"`
 }
 
 // DecodeEstimateRequest strictly parses one estimate request: unknown

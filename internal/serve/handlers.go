@@ -3,6 +3,8 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"runtime"
+	"runtime/debug"
 	"time"
 
 	"boedag/internal/boe"
@@ -11,7 +13,6 @@ import (
 	"boedag/internal/evalpool"
 	"boedag/internal/experiments"
 	"boedag/internal/obs"
-	"boedag/internal/perfledger"
 	"boedag/internal/statemodel"
 	"boedag/internal/units"
 )
@@ -110,13 +111,40 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleVersion serves GET /version: the daemon's build identity (Go
-// toolchain, module version, VCS stamp, GOMAXPROCS) plus uptime, so a
-// load harness can tag its ledger with the exact server it measured.
+// toolchain, module version, VCS stamp, GOMAXPROCS) plus uptime.
 func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 	writeBody(w, VersionResponse{
-		Build:   perfledger.CurrentBuild(),
+		Build:   currentBuild(),
 		UptimeS: time.Since(s.start).Seconds(),
 	})
+}
+
+// currentBuild captures the running binary's build info via
+// runtime/debug.ReadBuildInfo (module version, VCS stamp when built
+// from a git checkout) plus the runtime's toolchain and CPU facts.
+func currentBuild() BuildInfo {
+	b := BuildInfo{
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+	}
+	if info, ok := debug.ReadBuildInfo(); ok {
+		b.Module = info.Main.Path
+		b.Version = info.Main.Version
+		for _, s := range info.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				b.VCSRevision = s.Value
+			case "vcs.time":
+				b.VCSTime = s.Value
+			case "vcs.modified":
+				b.VCSModified = s.Value == "true"
+			}
+		}
+	}
+	return b
 }
 
 // handleHealthz serves GET /healthz: alive as long as it answers.

@@ -154,6 +154,16 @@ func TestVersionEndpoint(t *testing.T) {
 	}
 }
 
+func TestCurrentBuild(t *testing.T) {
+	b := currentBuild()
+	if b.GoVersion == "" || b.GOOS == "" || b.GOARCH == "" {
+		t.Errorf("incomplete build info: %+v", b)
+	}
+	if b.GOMAXPROCS < 1 || b.NumCPU < 1 {
+		t.Errorf("procs = %d/%d, want ≥ 1", b.GOMAXPROCS, b.NumCPU)
+	}
+}
+
 // TestPprofGated: the profile endpoints exist only when EnablePprof is
 // set — they bypass admission control, so off must mean absent.
 func TestPprofGated(t *testing.T) {

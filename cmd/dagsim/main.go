@@ -1,6 +1,9 @@
 // Command dagsim executes a named DAG workflow on the simulated cluster
 // and prints the measured task execution plan — the ground-truth side of
-// every experiment in this repository.
+// every experiment in this repository. With -mode or -profiles it first
+// predicts the plan with the paper's state-based BOE estimator, then
+// runs the workflow and reports the prediction's end-to-end accuracy:
+// the paper's predict → run → compare loop as one command.
 //
 // Usage:
 //
@@ -14,6 +17,10 @@
 //	dagsim -workflow wc+ts -live-progress     # online remaining-time estimates
 //	dagsim -workflow q21 -otlp-out o.json     # OTLP/JSON spans + metrics
 //	dagsim -workflow wc+ts -explain           # explain the model's prediction
+//	dagsim -workflow ts+q21 -mode normal      # predict (Alg2-Normal), run, compare
+//	dagsim -workflow wc+ts -validate=false -explain  # predict and explain only
+//	dagsim -workflow wc -save-profiles p.json   # profile a run for later
+//	dagsim -workflow wc+q5 -profiles p.json     # predict from saved profiles
 //	dagsim -workflow synth-l5-w8-f2-s7  # seeded synthetic layered DAG (40 jobs)
 //	dagsim -workflow wc+ts -policy fifo # schedule containers FIFO instead of DRF
 //	dagsim -sched-study -seed 7         # policy-vs-policy arrival-stream comparison
@@ -28,8 +35,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -42,6 +51,9 @@ import (
 	"boedag/internal/evalpool"
 	"boedag/internal/experiments"
 	"boedag/internal/explain"
+	"boedag/internal/metrics"
+	"boedag/internal/obs"
+	"boedag/internal/profile"
 	"boedag/internal/progress"
 	"boedag/internal/sched"
 	"boedag/internal/simulator"
@@ -51,6 +63,13 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "dagsim:", err)
+		os.Exit(1)
+	}
+}
+
+func run() error {
 	var (
 		name      = flag.String("workflow", "wc+ts", "workflow name, or comma-separated names to run concurrently (see -list)")
 		specFile  = flag.String("spec", "", "load the workflow from this JSON spec instead of -workflow")
@@ -67,6 +86,10 @@ func main() {
 		clusterIn = flag.String("cluster", "", "simulate this cluster spec JSON (e.g. from `calibrate -spec-out`) instead of the paper cluster")
 		policy    = flag.String("policy", "drf", "container scheduling policy: drf, fifo, fair, or spjf")
 		study     = flag.Bool("sched-study", false, "replay the seeded arrival scenarios under every policy and print the comparison table")
+		mode      = flag.String("mode", "", "predict the plan with the BOE estimator first, under this skew mode: mean | median | normal")
+		validate  = flag.Bool("validate", true, "run the simulation; false predicts without simulating")
+		profIn    = flag.String("profiles", "", "predict from this saved profile JSON, with the BOE model for unprofiled jobs")
+		profOut   = flag.String("save-profiles", "", "write the simulated run's task profiles to this JSON file")
 	)
 	var ob cliobs.Flags
 	ob.RegisterLive(nil)
@@ -77,7 +100,7 @@ func main() {
 		for _, n := range experiments.WorkflowNames() {
 			fmt.Println(n)
 		}
-		return
+		return nil
 	}
 
 	cfg := experiments.Default()
@@ -87,8 +110,7 @@ func main() {
 	if *clusterIn != "" {
 		spec, err := cluster.ReadSpecFile(*clusterIn)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dagsim:", err)
-			os.Exit(1)
+			return err
 		}
 		cfg.Spec = spec
 	}
@@ -99,93 +121,121 @@ func main() {
 	if *study {
 		rows, err := experiments.SchedPolicyStudy(cfg, cfg.Seed)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dagsim:", err)
-			os.Exit(1)
+			return err
 		}
 		experiments.RenderSchedPolicy(os.Stdout, rows)
-		return
+		return nil
 	}
 
 	opt := simulator.Options{Seed: cfg.Seed}
-	if pol, err := sched.ParsePolicy(*policy); err != nil {
-		fmt.Fprintln(os.Stderr, "dagsim:", err)
-		os.Exit(1)
-	} else {
-		opt.Policy = pol
+	var err error
+	if opt.Policy, err = sched.ParsePolicy(*policy); err != nil {
+		return err
 	}
 	if *perNode > 0 {
 		opt.SlotLimit = *perNode * cfg.Spec.Nodes
 	}
-	var err error
+	skew, err := statemodel.ParseSkewMode(*mode)
+	if err != nil {
+		return err
+	}
+	predict := *mode != "" || *profIn != "" || !*validate
+	exports := []struct {
+		path  string
+		write func(io.Writer, *simulator.Result) error
+	}{
+		{*tasksCSV, trace.ExportTasksCSV},
+		{*stagesCSV, trace.ExportStagesCSV},
+		{*jsonOut, trace.ExportResultJSON},
+		{*profOut, func(w io.Writer, res *simulator.Result) error { return profile.Capture(res).Save(w) }},
+	}
+	exporting := false
+	for _, e := range exports {
+		exporting = exporting || e.path != ""
+	}
+	if !*validate && (exporting || ob.LiveProgress) {
+		return errors.New("exports and -live-progress need the simulation that -validate=false skips")
+	}
 	if opt.Observe, err = ob.Options(); err != nil {
-		fmt.Fprintln(os.Stderr, "dagsim:", err)
-		os.Exit(1)
+		return err
 	}
 
 	// Comma-separated names run every workflow concurrently through the
 	// evaluation pool, then print the reports sequentially in input order.
 	if names := strings.Split(*name, ","); *specFile == "" && len(names) > 1 {
-		if *tasksCSV != "" || *stagesCSV != "" || *jsonOut != "" {
-			fmt.Fprintln(os.Stderr, "dagsim: CSV/JSON exports support a single workflow")
-			os.Exit(1)
+		if exporting || predict || ob.Stream() != nil || ob.ExplainRequested() {
+			return errors.New("exports, prediction, -live-progress and -explain support a single workflow")
 		}
-		if ob.Stream() != nil {
-			fmt.Fprintln(os.Stderr, "dagsim: -live-progress supports a single workflow")
-			os.Exit(1)
-		}
-		if ob.ExplainRequested() {
-			fmt.Fprintln(os.Stderr, "dagsim: -explain supports a single workflow")
-			os.Exit(1)
-		}
-		if err := runMulti(names, cfg, opt, *workers, *tasks, &ob); err != nil {
-			fmt.Fprintln(os.Stderr, "dagsim:", err)
-			os.Exit(1)
-		}
-		return
+		return runMulti(names, cfg, opt, *workers, *tasks, &ob)
 	}
 
 	flow, err := loadFlow(*specFile, *name, cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dagsim:", err)
-		os.Exit(1)
+		return err
 	}
-	// The live estimator re-runs Algorithm 1 from streamed events while the
-	// simulation executes. It must be subscribed before Run: the simulator
-	// snapshots Tracer.Enabled at startup.
-	var liveDone chan struct{}
-	if stream := ob.Stream(); stream != nil {
-		in := &progress.Indicator{
-			Estimator: statemodel.New(cfg.Spec,
-				&statemodel.BOETimer{Model: boe.New(cfg.Spec), TaskStartOverhead: cfg.TaskStartOverhead},
-				statemodel.Options{JobSubmitOverhead: cfg.JobSubmitOverhead}),
-			Flow: flow,
+	// One estimator configuration, built from the run's own settings,
+	// serves the prediction, the explanation and the live tracker, so all
+	// three model the cluster, policy and slot cap the simulation runs.
+	timer, err := newTimer(cfg, *profIn)
+	if err != nil {
+		return err
+	}
+	estOpt := statemodel.Options{
+		Mode:              skew,
+		JobSubmitOverhead: cfg.JobSubmitOverhead,
+		SlotLimit:         opt.SlotLimit,
+		Policy:            opt.Policy,
+		Observe:           opt.Observe,
+	}
+	est := statemodel.New(cfg.Spec, timer, estOpt)
+	estOpt.Observe = obs.Options{}
+	silent := statemodel.New(cfg.Spec, timer, estOpt)
+
+	var plan *statemodel.Plan
+	if predict {
+		start := time.Now()
+		if plan, err = est.Estimate(flow); err != nil {
+			return err
 		}
-		points := progress.Follow(stream, in, progress.LiveOptions{})
-		liveDone = make(chan struct{})
-		go func() {
-			defer close(liveDone)
-			for p := range points {
-				if p.Err != nil {
-					fmt.Fprintln(os.Stderr, "dagsim: live estimate:", p.Err)
-					continue
-				}
-				fmt.Printf("live: t=%8.1fs  %5.1f%% done  ~%v remaining\n",
-					p.Elapsed.Seconds(), p.PercentComplete,
-					p.PredictedRemaining.Round(100*time.Millisecond))
-			}
-		}()
+		trace.Plan(os.Stdout, plan)
+		fmt.Printf("estimation cost: %s\n", time.Since(start))
 	}
+	// -explain adds the critical path, per-resource bottleneck attribution
+	// and θ-sensitivity, reusing the printed plan when there is one (the
+	// sensitivity table is empty when predicting from profiles: no θ to
+	// perturb).
+	if ob.ExplainRequested() {
+		var expl *explain.Explanation
+		xopt := explain.Options{Workers: *workers}
+		if plan != nil {
+			expl, err = explain.ExplainPlan(context.Background(), est, flow, plan, xopt)
+		} else {
+			expl, err = explain.Explain(context.Background(), silent, flow, xopt)
+		}
+		if err != nil {
+			return err
+		}
+		if err := ob.WriteExplanation(expl); err != nil {
+			return err
+		}
+	}
+	if !*validate {
+		return ob.Finish()
+	}
+
+	// The live tracker subscribes only now, after the prediction, and
+	// runs the silent estimator, so no estimator event reaches its fold.
+	wait := followLive(ob.Stream(), silent, flow)
 	res, err := simulator.New(cfg.Spec, opt).Run(flow)
 	// Close the stream (and wait out the printer) before the Gantt chart so
 	// live lines never interleave with the post-run report.
 	ob.CloseStream()
-	if liveDone != nil {
-		<-liveDone
-		fmt.Println()
-	}
+	wait()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dagsim:", err)
-		os.Exit(1)
+		return err
+	}
+	if plan != nil || ob.Explain {
+		fmt.Println()
 	}
 	trace.Gantt(os.Stdout, res)
 	if *tasks {
@@ -194,52 +244,75 @@ func main() {
 			trace.TaskWaves(os.Stdout, res, s.Job, s.Stage)
 		}
 	}
-	type export struct {
-		path  string
-		write func(*os.File) error
-	}
-	for _, e := range []export{
-		{*tasksCSV, func(f *os.File) error { return trace.ExportTasksCSV(f, res) }},
-		{*stagesCSV, func(f *os.File) error { return trace.ExportStagesCSV(f, res) }},
-		{*jsonOut, func(f *os.File) error { return trace.ExportResultJSON(f, res) }},
-	} {
+	for _, e := range exports {
 		if e.path == "" {
 			continue
 		}
 		f, err := os.Create(e.path)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dagsim:", err)
-			os.Exit(1)
+			return err
 		}
-		if err := e.write(f); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, "dagsim:", err)
-			os.Exit(1)
+		err = e.write(f, res)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		f.Close()
+		if err != nil {
+			return err
+		}
 		fmt.Printf("wrote %s\n", e.path)
 	}
-	// -explain runs the paper's estimator for the measured scenario and
-	// explains its prediction: critical path, per-resource bottleneck
-	// attribution, and θ-sensitivity, next to the simulated ground truth.
-	if ob.ExplainRequested() {
-		est := statemodel.New(cfg.Spec,
-			&statemodel.BOETimer{Model: boe.New(cfg.Spec), TaskStartOverhead: cfg.TaskStartOverhead},
-			statemodel.Options{JobSubmitOverhead: cfg.JobSubmitOverhead})
-		expl, err := explain.Explain(context.Background(), est, flow,
-			explain.Options{Workers: *workers})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dagsim:", err)
-			os.Exit(1)
-		}
-		if err := ob.WriteExplanation(expl); err != nil {
-			fmt.Fprintln(os.Stderr, "dagsim:", err)
-			os.Exit(1)
-		}
+	if plan != nil {
+		fmt.Printf("\nend-to-end accuracy (%s): %.2f%%\n",
+			skew, 100*metrics.Accuracy(plan.Makespan, res.Makespan))
 	}
-	if err := ob.Finish(); err != nil {
-		fmt.Fprintln(os.Stderr, "dagsim:", err)
-		os.Exit(1)
+	return ob.Finish()
+}
+
+// newTimer returns the BOE task timer, or, given a saved profile file,
+// a profile timer that falls back to BOE for jobs without a profile.
+func newTimer(cfg experiments.Config, profPath string) (statemodel.TaskTimer, error) {
+	boeTimer := &statemodel.BOETimer{Model: boe.New(cfg.Spec), TaskStartOverhead: cfg.TaskStartOverhead}
+	if profPath == "" {
+		return boeTimer, nil
+	}
+	f, err := os.Open(profPath)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	profs, err := profile.Load(f)
+	if err != nil {
+		return nil, err
+	}
+	return &statemodel.ProfileTimer{Profiles: profs, Fallback: boeTimer}, nil
+}
+
+// followLive prints the live remaining-time estimates that est derives
+// from the streamed simulation events; the returned wait blocks until the
+// closed stream has drained. A nil stream (no -live-progress) follows
+// nothing. Call it before Run: the simulator snapshots Tracer.Enabled at
+// startup.
+func followLive(stream *obs.Stream, est *statemodel.Estimator, flow *dag.Workflow) (wait func()) {
+	if stream == nil {
+		return func() {}
+	}
+	points := progress.Follow(stream, &progress.Indicator{Estimator: est, Flow: flow}, progress.LiveOptions{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for p := range points {
+			if p.Err != nil {
+				fmt.Fprintln(os.Stderr, "dagsim: live estimate:", p.Err)
+				continue
+			}
+			fmt.Printf("live: t=%8.1fs  %5.1f%% done  ~%v remaining\n",
+				p.Elapsed.Seconds(), p.PercentComplete,
+				p.PredictedRemaining.Round(100*time.Millisecond))
+		}
+	}()
+	return func() {
+		<-done
+		fmt.Println()
 	}
 }
 

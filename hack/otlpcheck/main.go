@@ -3,8 +3,8 @@
 // resourceSpans / resourceMetrics structure an OTLP collector expects
 // and asserts the invariants a consumer relies on (well-formed hex ids,
 // timestamps on every span, resolvable parent links, populated metric
-// data points). hack/verify.sh runs it against a fresh boepredict
-// export.
+// data points). hack/verify.sh runs it against a fresh export of a
+// dagsim run that both predicts and simulates.
 //
 // Usage: go run ./hack/otlpcheck <export.json>
 package main

@@ -39,14 +39,15 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
-# otlp_check exports a real boepredict run as OTLP/JSON and validates
-# the resourceSpans/resourceMetrics shape with hack/otlpcheck (hex ids,
-# timestamps, resolvable parent links, populated metrics).
+# otlp_check exports a real dagsim run that predicts and simulates as
+# OTLP/JSON and validates the resourceSpans/resourceMetrics shape with
+# hack/otlpcheck (hex ids, timestamps, resolvable parent links,
+# populated metrics).
 otlp_check() {
     echo "== OTLP export shape check =="
     local tmp
     tmp=$(mktemp -d)
-    go run ./cmd/boepredict -workflow wc+ts -micro-gb 5 -otlp-out "$tmp/otlp.json" > /dev/null
+    go run ./cmd/dagsim -workflow wc+ts -micro-gb 5 -mode mean -otlp-out "$tmp/otlp.json" > /dev/null
     go run ./hack/otlpcheck "$tmp/otlp.json"
     rm -rf "$tmp"
 }

@@ -1,7 +1,7 @@
 // Package cliobs wires the observability layer into command-line tools:
 // one flag set covering event tracing, live streaming, metrics export,
-// OTLP export, and Go profiling, shared by dagsim, boepredict, boetune,
-// calibrate and benchtables.
+// OTLP export, and Go profiling, shared by dagsim, boetune, calibrate,
+// benchtables and boedagd.
 package cliobs
 
 import (

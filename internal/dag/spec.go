@@ -10,7 +10,7 @@ import (
 )
 
 // The JSON workflow specification lets users describe their own DAGs for
-// the commands (dagsim/boepredict -spec file.json) and for programmatic
+// the command line (dagsim -spec file.json) and for programmatic
 // loading, without writing Go. Sizes are megabytes; everything else maps
 // one-to-one onto workload.JobProfile.
 //

@@ -227,16 +227,11 @@ func (req *EstimateRequest) validate() *APIError {
 		}
 		req.spec = &spec
 	}
-	switch req.Options.Mode {
-	case "", "mean":
-		req.mode = statemodel.MeanMode
-	case "median", "mid":
-		req.mode = statemodel.MedianMode
-	case "normal":
-		req.mode = statemodel.NormalMode
-	default:
-		return badRequest("unknown skew mode %q (mean | median | normal)", req.Options.Mode)
+	mode, err := statemodel.ParseSkewMode(req.Options.Mode)
+	if err != nil {
+		return badRequest("%v", err)
 	}
+	req.mode = mode
 	if req.Options.MicroGB < 0 {
 		return badRequest("micro_gb must be non-negative")
 	}

@@ -58,7 +58,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // scenario materializes a validated request into its workflow and
-// estimator, mirroring the boepredict CLI's defaults (the paper's
+// estimator, mirroring dagsim's prediction defaults (the paper's
 // overheads, BOE task timer).
 func (s *Server) scenario(req *EstimateRequest) (*dag.Workflow, *statemodel.Estimator, *APIError) {
 	spec := s.cfg.Spec

@@ -737,47 +737,3 @@ func closeState(plan *Plan, end float64) {
 		last.End = units.Seconds(end)
 	}
 }
-
-// CriticalPath returns the chain of stage estimates that determines the
-// plan's makespan: starting from the stage that ends last, repeatedly
-// step to the latest-ending stage that finishes at (or just before) the
-// current one's start — the jobs an optimizer should attack first.
-func (p *Plan) CriticalPath() []StageEstimate {
-	if len(p.Stages) == 0 {
-		return nil
-	}
-	// Latest-ending stage anchors the path.
-	cur := p.Stages[0]
-	for _, s := range p.Stages[1:] {
-		if s.End > cur.End {
-			cur = s
-		}
-	}
-	path := []StageEstimate{cur}
-	const slack = 3 * time.Second // submit overheads sit between stages
-	for {
-		var prev *StageEstimate
-		for i := range p.Stages {
-			s := p.Stages[i]
-			if s.End > cur.Start+time.Millisecond || s == cur {
-				continue
-			}
-			if s.End < cur.Start-slack {
-				continue
-			}
-			if prev == nil || s.End > prev.End {
-				prev = &p.Stages[i]
-			}
-		}
-		if prev == nil {
-			break
-		}
-		path = append(path, *prev)
-		cur = *prev
-	}
-	// Reverse into execution order.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path
-}

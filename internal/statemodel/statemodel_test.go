@@ -239,6 +239,32 @@ func TestSkewModeStrings(t *testing.T) {
 	}
 }
 
+func TestParseSkewMode(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		want SkewMode
+		err  string
+	}{
+		{name: "", want: MeanMode},
+		{name: "mean", want: MeanMode},
+		{name: "median", want: MedianMode},
+		{name: "mid", want: MedianMode},
+		{name: "normal", want: NormalMode},
+		{name: "empirical", err: `unknown skew mode "empirical" (mean | median | normal)`},
+		{name: "Mean", err: `unknown skew mode "Mean" (mean | median | normal)`},
+	} {
+		got, err := ParseSkewMode(c.name)
+		switch {
+		case c.err != "":
+			if err == nil || err.Error() != c.err {
+				t.Errorf("ParseSkewMode(%q) error = %v, want %q", c.name, err, c.err)
+			}
+		case err != nil || got != c.want:
+			t.Errorf("ParseSkewMode(%q) = %v, %v; want %v", c.name, got, err, c.want)
+		}
+	}
+}
+
 func TestTaskTimeDistByMode(t *testing.T) {
 	d := TaskTimeDist{Mean: 10 * time.Second, Median: 8 * time.Second, Std: time.Second}
 	if d.ByMode(MeanMode) != 10*time.Second {
@@ -417,34 +443,5 @@ func TestFailureCorrectionInflatesEstimate(t *testing.T) {
 	ratio := faulty.Makespan.Seconds() / clean.Makespan.Seconds()
 	if ratio < 1.1 || ratio > 1.3 {
 		t.Errorf("retry inflation ratio = %.2f, want ≈ 1.2 (1 + p/2)", ratio)
-	}
-}
-
-func TestPlanCriticalPath(t *testing.T) {
-	a := workload.WordCount(10 * units.GB)
-	a.Name = "A"
-	b := workload.TeraSort(10 * units.GB)
-	b.Name = "B"
-	flow := &dag.Workflow{Name: "chain", Jobs: []dag.Job{
-		{ID: "A", Profile: a},
-		{ID: "B", Profile: b, Deps: []string{"A"}},
-	}}
-	plan := estimate(t, flow, Options{})
-	path := plan.CriticalPath()
-	if len(path) != 4 {
-		t.Fatalf("critical path has %d stages, want 4 (A map→A reduce→B map→B reduce): %+v",
-			len(path), path)
-	}
-	for i := 1; i < len(path); i++ {
-		if path[i].Start < path[i-1].End-time.Millisecond {
-			t.Errorf("path not in execution order at %d", i)
-		}
-	}
-	last := path[len(path)-1]
-	if last.End != plan.Makespan {
-		t.Errorf("path does not end at the makespan: %v vs %v", last.End, plan.Makespan)
-	}
-	if (&Plan{}).CriticalPath() != nil {
-		t.Error("empty plan has a critical path")
 	}
 }

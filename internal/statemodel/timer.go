@@ -11,6 +11,7 @@
 package statemodel
 
 import (
+	"fmt"
 	"math"
 	"time"
 
@@ -56,6 +57,21 @@ func (m SkewMode) String() string {
 		return "Ext-Empirical"
 	}
 	return "SkewMode(?)"
+}
+
+// ParseSkewMode maps a mode name to its SkewMode: "" or "mean",
+// "median" or "mid", and "normal". The empirical extension has no name
+// here; it is selected in code.
+func ParseSkewMode(name string) (SkewMode, error) {
+	switch name {
+	case "", "mean":
+		return MeanMode, nil
+	case "median", "mid":
+		return MedianMode, nil
+	case "normal":
+		return NormalMode, nil
+	}
+	return 0, fmt.Errorf("unknown skew mode %q (mean | median | normal)", name)
 }
 
 // Modes lists the paper's three skew modes in Table III order.

@@ -69,7 +69,7 @@ var (
 type BayesConfig = hibench.BayesConfig
 
 // LoadWorkflowSpec parses a JSON workflow specification (the format the
-// dagsim/boepredict -spec flag consumes).
+// dagsim -spec flag consumes).
 var LoadWorkflowSpec = dag.LoadWorkflow
 
 // SaveWorkflowSpec writes a workflow as a JSON spec that

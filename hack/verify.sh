@@ -87,7 +87,8 @@ coverage_gate() {
 # plus a few seconds of mutation must finish without a crasher (the
 # never-panic contracts of the trace parser and the serve request
 # decoder, the agreement of the fleet's shard key with the serve
-# handler's answer, and the heap fills' agreement with the scan oracles).
+# handler's answer, the heap fills' agreement with the scan oracles, and
+# the fair-share solver's agreement with its reference solve).
 fuzz_smoke() {
     echo "== trace parser fuzz smoke =="
     go test ./internal/calibrate -run '^$' \
@@ -107,6 +108,9 @@ fuzz_smoke() {
     echo "== heap fill vs scan oracle fuzz smoke =="
     go test ./internal/sched -run '^$' \
         -fuzz '^FuzzDRFMatchesScan$' -fuzztime "${FUZZTIME:-5s}"
+    echo "== fair-share solver vs reference fuzz smoke =="
+    go test ./internal/fairshare -run '^$' \
+        -fuzz '^FuzzAllocateMatchesReference$' -fuzztime "${FUZZTIME:-5s}"
     echo "== cache snapshot reader fuzz smoke =="
     go test ./internal/cachestore -run '^$' \
         -fuzz '^FuzzReadSnapshot$' -fuzztime "${FUZZTIME:-5s}"

@@ -170,21 +170,39 @@ func (m *Model) stageInfoFor(p workload.JobProfile, s workload.Stage) *stageInfo
 	return si
 }
 
-// evalScratch holds one state solve's working buffers. Pooled because
-// the workflow estimator performs hundreds of thousands of solves on
-// large DAGs, and the per-solve garbage was the dominant cost at 10k
-// jobs.
-type evalScratch struct {
+// Solver holds the working buffers of BOE solves and the fair-share
+// arena they run on, whose memo carries across the solves made on it.
+// Pooled because the workflow estimator performs hundreds of thousands
+// of solves on large DAGs, and the per-solve garbage was the dominant
+// cost at 10k jobs. Model methods draw a solver from the pool per call;
+// a caller making a run of solves holds one for the run instead (see
+// GetSolver and TaskTimeAtOn). A Solver is not safe for concurrent use.
+type Solver struct {
 	subs      []workload.SubStage
 	consumers []fairshare.Consumer
 	groups    []TaskGroup
 	arena     fairshare.Arena
 }
 
-var evalPool = sync.Pool{New: func() any { return new(evalScratch) }}
+var evalPool = sync.Pool{New: func() any { return new(Solver) }}
+
+// GetSolver takes a solver from the pool with its memo emptied and its
+// counts zeroed, so its Stats depend only on the solves made on it from
+// here on. Hand it back with PutSolver.
+func GetSolver() *Solver {
+	sv := evalPool.Get().(*Solver)
+	sv.arena.Reset()
+	return sv
+}
+
+// PutSolver returns a solver from GetSolver to the pool.
+func PutSolver(sv *Solver) { evalPool.Put(sv) }
+
+// Stats reports the fair-share work of the solves made on sv.
+func (sv *Solver) Stats() fairshare.Stats { return sv.arena.Stats() }
 
 // growRows sizes the scratch sub-stage and consumer rows for n groups.
-func (sc *evalScratch) growRows(n int) {
+func (sc *Solver) growRows(n int) {
 	if cap(sc.subs) < n {
 		sc.subs = make([]workload.SubStage, n)
 		sc.consumers = make([]fairshare.Consumer, n)
@@ -194,7 +212,7 @@ func (sc *evalScratch) growRows(n int) {
 }
 
 // fillRow derives group g's current sub-stage and consumer into row i.
-func (m *Model) fillRow(sc *evalScratch, i int, g TaskGroup) {
+func (m *Model) fillRow(sc *Solver, i int, g TaskGroup) {
 	si := m.stageInfoFor(g.Profile, g.Stage)
 	switch {
 	case g.SubStage == AggregateSubStage:
@@ -209,7 +227,7 @@ func (m *Model) fillRow(sc *evalScratch, i int, g TaskGroup) {
 
 // allocateRows runs the allocation over the filled consumer rows. The
 // result aliases the scratch and is valid until the next allocation on it.
-func (m *Model) allocateRows(sc *evalScratch) *fairshare.Result {
+func (m *Model) allocateRows(sc *Solver) *fairshare.Result {
 	if m.EqualSplit {
 		return sc.arena.EqualSplit(m.capacities(), sc.consumers)
 	}
@@ -218,7 +236,7 @@ func (m *Model) allocateRows(sc *evalScratch) *fairshare.Result {
 
 // solve derives sub-stages and consumers for the groups and runs the
 // allocation, all on scratch buffers.
-func (m *Model) solve(sc *evalScratch, groups []TaskGroup) *fairshare.Result {
+func (m *Model) solve(sc *Solver, groups []TaskGroup) *fairshare.Result {
 	sc.growRows(len(groups))
 	for i, g := range groups {
 		m.fillRow(sc, i, g)
@@ -228,7 +246,7 @@ func (m *Model) solve(sc *evalScratch, groups []TaskGroup) *fairshare.Result {
 
 // usersOf counts the tasks demanding each resource, for the equal-share
 // μ_X(Δ) = 1/Δ_X view the paper's per-operation times use.
-func usersOf(sc *evalScratch, groups []TaskGroup) (users [cluster.NumResources]int) {
+func usersOf(sc *Solver, groups []TaskGroup) (users [cluster.NumResources]int) {
 	for i, c := range sc.consumers {
 		for r := 0; r < cluster.NumResources; r++ {
 			if c.Demand[r] > 0 {
@@ -241,7 +259,7 @@ func usersOf(sc *evalScratch, groups []TaskGroup) (users [cluster.NumResources]i
 
 // render materializes the estimate of group i from a solve. With nil
 // users it leaves Ops empty (the lean task-time path).
-func (m *Model) render(sc *evalScratch, alloc *fairshare.Result, users *[cluster.NumResources]int, i int) SubStageEstimate {
+func (m *Model) render(sc *Solver, alloc *fairshare.Result, users *[cluster.NumResources]int, i int) SubStageEstimate {
 	est := SubStageEstimate{
 		Name:        sc.subs[i].Name,
 		Bottleneck:  alloc.Bottleneck[i],
@@ -276,7 +294,7 @@ func (m *Model) render(sc *evalScratch, alloc *fairshare.Result, users *[cluster
 // sub-stage under contention from all the other groups. This is the
 // primitive the state-based workflow model calls once per workflow state.
 func (m *Model) EstimateState(groups []TaskGroup) []SubStageEstimate {
-	sc := evalPool.Get().(*evalScratch)
+	sc := evalPool.Get().(*Solver)
 	defer evalPool.Put(sc)
 	alloc := m.solve(sc, groups)
 	users := usersOf(sc, groups)
@@ -300,7 +318,7 @@ func (m *Model) TaskTime(p workload.JobProfile, s workload.Stage, parallelism in
 // Table II. Each sub-stage of the target task is estimated against the
 // environment held at its own current sub-stage.
 func (m *Model) TaskTimeWith(p workload.JobProfile, s workload.Stage, parallelism int, env []TaskGroup) TaskEstimate {
-	sc := evalPool.Get().(*evalScratch)
+	sc := evalPool.Get().(*Solver)
 	defer evalPool.Put(sc)
 	g := append(sc.groups[:0], TaskGroup{Profile: p, Stage: s, Parallelism: parallelism})
 	g = append(g, env...)
@@ -315,8 +333,13 @@ func (m *Model) TaskTimeWith(p workload.JobProfile, s workload.Stage, parallelis
 // report: every sub-stage's Ops is left empty (Duration, Bottleneck and
 // Utilization are exactly TaskTimeWith's).
 func (m *Model) TaskTimeAt(groups []TaskGroup, self int) TaskEstimate {
-	sc := evalPool.Get().(*evalScratch)
+	sc := evalPool.Get().(*Solver)
 	defer evalPool.Put(sc)
+	return m.TaskTimeAtOn(sc, groups, self)
+}
+
+// TaskTimeAtOn is TaskTimeAt solving on the caller's solver.
+func (m *Model) TaskTimeAtOn(sc *Solver, groups []TaskGroup, self int) TaskEstimate {
 	g := append(sc.groups[:0], groups[self])
 	g = append(g, groups[:self]...)
 	g = append(g, groups[self+1:]...)
@@ -329,7 +352,7 @@ func (m *Model) TaskTimeAt(groups []TaskGroup, self int) TaskEstimate {
 // sub-stage's per-operation report. The environment rows are identical
 // across the sub-stage sweep, so they are derived once and only row 0
 // is refilled per iteration.
-func (m *Model) taskTime(sc *evalScratch, g []TaskGroup, withOps bool) TaskEstimate {
+func (m *Model) taskTime(sc *Solver, g []TaskGroup, withOps bool) TaskEstimate {
 	si := m.stageInfoFor(g[0].Profile, g[0].Stage)
 	sc.growRows(len(g))
 	for i := 1; i < len(g); i++ {

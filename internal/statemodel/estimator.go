@@ -7,8 +7,10 @@ import (
 	"strings"
 	"time"
 
+	"boedag/internal/boe"
 	"boedag/internal/cluster"
 	"boedag/internal/dag"
+	"boedag/internal/fairshare"
 	"boedag/internal/obs"
 	"boedag/internal/sched"
 	"boedag/internal/skew"
@@ -275,6 +277,14 @@ func (e *Estimator) run(s *Scratch, w *dag.Workflow, remaining int) (*Plan, erro
 	s.sortOrdered()
 
 	conf, jobSensitive, cacheable := e.distConf()
+	// A timer that solves with BOE makes the run's solves on one solver,
+	// whose fair-share memo then serves repeats across the whole run.
+	st, onSolver := e.Timer.(solverTimer)
+	var sv *boe.Solver
+	if onSolver {
+		sv = boe.GetSolver()
+		defer boe.PutSolver(sv)
+	}
 	if cacheable {
 		for _, j := range s.ordered {
 			j.fp = profileFingerprint(j.profile)
@@ -457,7 +467,12 @@ func (e *Estimator) run(s *Scratch, w *dag.Workflow, remaining int) (*Plan, erro
 						continue
 					}
 				}
-				d := e.Timer.TaskDist(j.id, groups, i)
+				var d TaskTimeDist
+				if onSolver {
+					d = st.taskDistOn(sv, j.id, groups, i)
+				} else {
+					d = e.Timer.TaskDist(j.id, groups, i)
+				}
 				if p := e.Opt.TaskFailureProb; p > 0 {
 					// Fault-tolerance correction: a failed attempt wastes half
 					// its work in expectation before the re-execution.
@@ -609,6 +624,14 @@ func (e *Estimator) run(s *Scratch, w *dag.Workflow, remaining int) (*Plan, erro
 		reg.Counter("est_states").Add(int64(len(plan.States)))
 		reg.Counter("est_dist_solves").Add(solves)
 		reg.Counter("est_dist_reuse").Add(reuses)
+		var ws fairshare.Stats
+		if sv != nil {
+			ws = sv.Stats()
+		}
+		reg.Counter("est_waterfill_solves").Add(ws.Solves)
+		reg.Counter("est_waterfill_memo_hits").Add(ws.MemoHits)
+		reg.Counter("est_waterfill_sweeps").Add(ws.Sweeps)
+		reg.Counter("est_waterfill_capped").Add(ws.Capped)
 		stateDur := reg.Histogram("est_state_duration_s")
 		for _, st := range plan.States {
 			if st.End > 0 {

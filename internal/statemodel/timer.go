@@ -140,10 +140,24 @@ type BOETimer struct {
 	TaskStartOverhead time.Duration
 }
 
+// solverTimer is a TaskTimer that can make its BOE solves on a solver
+// the estimator holds for the whole run, so the run's fair-share memo
+// and waterfill counts cover them. The answer is TaskDist's.
+type solverTimer interface {
+	taskDistOn(sv *boe.Solver, jobID string, groups []boe.TaskGroup, self int) TaskTimeDist
+}
+
 // TaskDist implements TaskTimer.
 func (t *BOETimer) TaskDist(jobID string, groups []boe.TaskGroup, self int) TaskTimeDist {
-	g := groups[self]
-	est := t.Model.TaskTimeAt(groups, self)
+	return t.dist(groups[self], t.Model.TaskTimeAt(groups, self))
+}
+
+func (t *BOETimer) taskDistOn(sv *boe.Solver, jobID string, groups []boe.TaskGroup, self int) TaskTimeDist {
+	return t.dist(groups[self], t.Model.TaskTimeAtOn(sv, groups, self))
+}
+
+// dist turns group g's BOE task estimate into its task-time distribution.
+func (t *BOETimer) dist(g boe.TaskGroup, est boe.TaskEstimate) TaskTimeDist {
 	mean := est.Duration + t.TaskStartOverhead
 	// The task-size skew translates linearly into task-time skew for
 	// data-bound tasks.
@@ -223,6 +237,12 @@ type ProfileTimer struct {
 
 // TaskDist implements TaskTimer.
 func (t *ProfileTimer) TaskDist(jobID string, groups []boe.TaskGroup, self int) TaskTimeDist {
+	return t.taskDistOn(nil, jobID, groups, self)
+}
+
+// taskDistOn lets a Fallback that can solve on the run's solver do so;
+// with a nil solver every fallback solves on its own.
+func (t *ProfileTimer) taskDistOn(sv *boe.Solver, jobID string, groups []boe.TaskGroup, self int) TaskTimeDist {
 	g := groups[self]
 	if p, ok := t.Profiles.Stage(jobID, g.Stage); ok && len(p.TaskTimes) > 0 {
 		return TaskTimeDist{
@@ -231,6 +251,9 @@ func (t *ProfileTimer) TaskDist(jobID string, groups []boe.TaskGroup, self int) 
 			Std:    p.StdDev(),
 			Sample: p.TaskTimes,
 		}
+	}
+	if st, ok := t.Fallback.(solverTimer); ok && sv != nil {
+		return st.taskDistOn(sv, jobID, groups, self)
 	}
 	if t.Fallback != nil {
 		return t.Fallback.TaskDist(jobID, groups, self)

@@ -1,13 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"runtime"
 	"sync"
 	"testing"
 
+	"boedag/internal/dag"
 	"boedag/internal/obs"
+	"boedag/internal/synthdag"
 )
 
 // The telemetry suite pins the observability surface this service
@@ -29,6 +32,38 @@ func TestPerRouteLatencyHistograms(t *testing.T) {
 	}
 	if got := reg.Histogram("request_duration_s").Count(); got != 3 {
 		t.Errorf("aggregate histogram count = %d, want 3", got)
+	}
+}
+
+// TestWaterfillCountersExported checks that an estimator run flushes
+// the fair-share solver's counts into the server registry next to the
+// task-time solve counts. The workflow is one no other test estimates,
+// so no pooled scratch has its task times cached.
+func TestWaterfillCountersExported(t *testing.T) {
+	var spec bytes.Buffer
+	flow := synthdag.Generate(synthdag.Config{Layers: 4, Width: 6, FanIn: 2, Seed: 1818})
+	if err := dag.SaveWorkflow(&spec, flow); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(EstimateRequest{Spec: spec.Bytes()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{Workers: 2})
+	if status, out, _ := post(t, ts.URL+"/v1/estimate", body); status != http.StatusOK {
+		t.Fatalf("estimate status = %d: %s", status, out)
+	}
+	reg := s.Metrics()
+	solves := reg.Counter("est_waterfill_solves").Value()
+	hits := reg.Counter("est_waterfill_memo_hits").Value()
+	if solves == 0 || hits > solves {
+		t.Errorf("est_waterfill_solves %d, est_waterfill_memo_hits %d", solves, hits)
+	}
+	if sweeps := reg.Counter("est_waterfill_sweeps").Value(); sweeps < solves-hits {
+		t.Errorf("est_waterfill_sweeps %d < %d solves that missed the memo", sweeps, solves-hits)
+	}
+	if capped := reg.Counter("est_waterfill_capped").Value(); capped != 0 {
+		t.Errorf("est_waterfill_capped = %d, want 0", capped)
 	}
 }
 

@@ -290,3 +290,48 @@ func TestDisableIncrementalSolvesEverything(t *testing.T) {
 		t.Error("from-scratch path reported zero solves")
 	}
 }
+
+// TestWaterfillCounters pins the est_waterfill_* counters on the
+// layered shapes of the estimate-scale benchmark: a fixed estimate on a
+// fresh scratch reports the same counts every time, the solver's memo
+// answers some of its solves, and no solve runs into the sweep cap.
+func TestWaterfillCounters(t *testing.T) {
+	names := []string{"est_waterfill_solves", "est_waterfill_memo_hits", "est_waterfill_sweeps", "est_waterfill_capped"}
+	count := func(flow *dag.Workflow, mode statemodel.SkewMode) [4]int64 {
+		reg := obs.NewRegistry()
+		spec := cluster.PaperCluster()
+		est := statemodel.New(spec, &statemodel.BOETimer{Model: boe.New(spec), TaskStartOverhead: time.Second},
+			statemodel.Options{Mode: mode, Observe: obs.Options{Metrics: reg}})
+		if _, err := est.EstimateWith(statemodel.NewScratch(), flow); err != nil {
+			t.Fatal(err)
+		}
+		var c [4]int64
+		for i, name := range names {
+			c[i] = reg.Counter(name).Value()
+		}
+		return c
+	}
+	modes := []statemodel.SkewMode{statemodel.MeanMode, statemodel.MedianMode, statemodel.NormalMode}
+	var total [4]int64
+	for i, shape := range [][2]int{{10, 10}, {16, 10}, {12, 12}, {8, 16}, {25, 10}} {
+		flow := synthdag.Generate(synthdag.Config{Layers: shape[0], Width: shape[1], FanIn: 3, Seed: int64(i + 1)})
+		mode := modes[i%len(modes)]
+		first, again := count(flow, mode), count(flow, mode)
+		if first != again {
+			t.Errorf("%dx%d: counts %v, then %v on the same estimate", shape[0], shape[1], first, again)
+		}
+		solves, hits, sweeps := first[0], first[1], first[2]
+		if solves == 0 || sweeps < solves-hits {
+			t.Errorf("%dx%d: %d solves, %d memo hits, %d sweeps", shape[0], shape[1], solves, hits, sweeps)
+		}
+		for k := range total {
+			total[k] += first[k]
+		}
+	}
+	if total[1] == 0 {
+		t.Errorf("no memo hit over %d solves", total[0])
+	}
+	if total[3] != 0 {
+		t.Errorf("%d of %d solves ran into the sweep cap", total[3], total[0])
+	}
+}

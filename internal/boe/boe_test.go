@@ -341,6 +341,33 @@ func TestTaskTimeAtMatchesTaskTimeWith(t *testing.T) {
 	}
 }
 
+// TestTaskTimeAtOnHeldSolver: a solver held across solves answers
+// exactly as the pooled path does, and its counts start from zero when
+// it is taken and cover every fair-share solve made on it — a repeated
+// task time is answered from the memo.
+func TestTaskTimeAtOnHeldSolver(t *testing.T) {
+	m := New(cluster.PaperCluster())
+	groups := []TaskGroup{
+		{Profile: workload.TeraSort(20 * units.GB), Stage: workload.Reduce, SubStage: AggregateSubStage, Parallelism: 33},
+		{Profile: workload.WordCount(10 * units.GB), Stage: workload.Map, SubStage: AggregateSubStage, Parallelism: 12},
+	}
+	sv := GetSolver()
+	defer PutSolver(sv)
+	if st := sv.Stats(); st.Solves != 0 {
+		t.Fatalf("fresh solver reports %d solves", st.Solves)
+	}
+	for round := 0; round < 2; round++ {
+		got, want := m.TaskTimeAtOn(sv, groups, 0), m.TaskTimeAt(groups, 0)
+		if got.Duration != want.Duration || len(got.SubStages) != len(want.SubStages) {
+			t.Fatalf("round %d: held solver %v, pooled %v", round, got.Duration, want.Duration)
+		}
+	}
+	subs := int64(len(m.TaskTimeAt(groups, 0).SubStages))
+	if st := sv.Stats(); st.Solves != 2*subs || st.MemoHits != subs {
+		t.Errorf("stats %+v after two task times of %d sub-stages each, want %d solves and %d memo hits", st, subs, 2*subs, subs)
+	}
+}
+
 // TestTaskTimeAtIsLean: the hot path skips the per-operation report
 // that TaskTimeWith renders.
 func TestTaskTimeAtIsLean(t *testing.T) {

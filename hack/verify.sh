@@ -242,15 +242,32 @@ echo "== instrumentation overhead guard =="
 # The observability layer must be ~free when disabled: the disabled-path
 # benchmark has to land within 5% of the fully instrumented one (and the
 # enabled path itself is required to be cheap relative to simulation
-# work, so the two bracket the uninstrumented baseline). Take the best
-# of three runs of each to suppress scheduler noise; 40 iterations per
-# run keeps the minimum stable enough for the 5% bound.
-bench() {
-    go test ./internal/simulator -run '^$' -bench "$1\$" -benchtime "${BENCHTIME:-40x}" -count 3 \
-        | awk '/^Benchmark/ {if (min == "" || $3 < min) min = $3} END {print min}'
+# work, so the two bracket the uninstrumented baseline). The samples are
+# paired and interleaved: five rounds of one 40-iteration sample per
+# side, alternating which side runs first, so drift of the machine's
+# speed over the run reaches both sides alike. Each side keeps its best
+# sample to suppress scheduler noise.
+guard_bin=$(mktemp -d)
+go test -c -o "$guard_bin/simulator.test" ./internal/simulator
+sample() {
+    (cd internal/simulator && "$guard_bin/simulator.test" -test.run '^$' \
+        -test.bench "BenchmarkSimulatorInstrumentation$1\$" \
+        -test.benchtime "${BENCHTIME:-40x}" -test.count 1) | awk '/^Benchmark/ {print $3}'
 }
-off=$(bench BenchmarkSimulatorInstrumentationOff)
-on=$(bench BenchmarkSimulatorInstrumentationOn)
+off="" on=""
+for round in 1 2 3 4 5; do
+    order="Off On"
+    (( round % 2 )) || order="On Off"
+    for side in $order; do
+        ns=$(sample "$side")
+        if [[ $side == Off ]]; then
+            off=$(awk -v a="$off" -v b="$ns" 'BEGIN {print (a == "" || b < a) ? b : a}')
+        else
+            on=$(awk -v a="$on" -v b="$ns" 'BEGIN {print (a == "" || b < a) ? b : a}')
+        fi
+    done
+done
+rm -rf "$guard_bin"
 echo "  disabled: ${off} ns/op    enabled: ${on} ns/op"
 # If the disabled path runs >5% slower than the enabled one, someone put
 # work outside an enabled-check and the zero-cost contract is broken.

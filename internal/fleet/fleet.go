@@ -176,21 +176,24 @@ func (n *Node) Handler() http.Handler {
 			local.ServeHTTP(w, r)
 			return
 		}
-		if r.Header.Get(ForwardedHeader) != "" {
-			// Already forwarded once: serve here no matter what our ring
-			// says, so disagreement can never loop.
-			n.received.Inc()
-			local.ServeHTTP(w, r)
-			return
-		}
-		body, err := io.ReadAll(r.Body) // the server closes r.Body
+		// Read one byte past the body limit: enough to know a body will
+		// not shard, without buffering an oversized one. The server
+		// closes r.Body.
+		body, err := io.ReadAll(io.LimitReader(r.Body, n.srv.MaxBodyBytes()+1))
 		if err != nil {
 			http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
 			return
 		}
 		// lr serves the request locally without decoding the body again.
 		key, lr, ok := n.srv.Prepare(r, body)
-		if !ok {
+		switch {
+		case r.Header.Get(ForwardedHeader) != "":
+			// Already forwarded once: serve here no matter what our ring
+			// says, so disagreement can never loop.
+			n.received.Inc()
+			local.ServeHTTP(w, lr)
+			return
+		case !ok:
 			// No shard key — invalid bodies answer the same 4xx everywhere.
 			n.unroutableRequests.Inc()
 			local.ServeHTTP(w, lr)

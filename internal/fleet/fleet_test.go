@@ -382,3 +382,55 @@ func TestFleetNonShardedStaysLocal(t *testing.T) {
 		}
 	}
 }
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestFleetBodyTooLarge: a fleet node reads at most one byte past the
+// body limit, and its 413 — on a request from a client or one a peer
+// forwarded — is the solo server's, status and bytes.
+func TestFleetBodyTooLarge(t *testing.T) {
+	const limit = 64
+	big := []byte(`{"workflow":"` + strings.Repeat("x", 4096) + `"}`)
+	solo, err := serve.New(serve.Config{MaxBodyBytes: limit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := httptest.NewRecorder()
+	solo.Handler().ServeHTTP(want, httptest.NewRequest(http.MethodPost, "/v1/estimate", bytes.NewReader(big)))
+	if want.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("solo status = %d: %s", want.Code, want.Body.Bytes())
+	}
+	srv, err := serve.New(serve.Config{MaxBodyBytes: limit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := fleet.NewNode(srv, fleet.Config{NodeID: "a", Peers: []string{"a"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, forwarded := range []bool{false, true} {
+		body := &countingReader{r: bytes.NewReader(big)}
+		req := httptest.NewRequest(http.MethodPost, "/v1/estimate", body)
+		if forwarded {
+			req.Header.Set(fleet.ForwardedHeader, "peer")
+		}
+		rec := httptest.NewRecorder()
+		node.Handler().ServeHTTP(rec, req)
+		if rec.Code != want.Code || !bytes.Equal(rec.Body.Bytes(), want.Body.Bytes()) {
+			t.Errorf("forwarded=%v: %d %s, solo %d %s", forwarded, rec.Code, rec.Body.Bytes(), want.Code, want.Body.Bytes())
+		}
+		if body.n > limit+1 {
+			t.Errorf("forwarded=%v: read %d body bytes, limit %d", forwarded, body.n, limit)
+		}
+	}
+}

@@ -104,7 +104,9 @@ func TestDecodeStrictness(t *testing.T) {
 // handler: on every sharded endpoint a body gets a shard key exactly when
 // the local handler answers it 200. A keyed body may also time out under
 // its own timeout_ms; an unkeyed one always answers with a 4xx that any
-// node would give. Seeded from the canned requests, each on every path.
+// node would give. A second RouteKey of the body on the same server — a
+// route-memo hit when it keyed — agrees with a fresh server's. Seeded
+// from the canned requests, each on every path.
 func FuzzRouteKeyAgreement(f *testing.F) {
 	paths := []string{"/v1/estimate", "/v1/explain", "/v1/schedule"}
 	seeds, err := filepath.Glob(filepath.Join("testdata", "*.req.json"))
@@ -128,7 +130,15 @@ func FuzzRouteKeyAgreement(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, p uint8, body []byte) {
 		path := paths[int(p)%len(paths)]
-		_, keyed := s.RouteKey(path, body)
+		key, keyed := s.RouteKey(path, body)
+		again, againKeyed := s.RouteKey(path, body)
+		fresh, err := New(Config{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, wantKeyed := fresh.RouteKey(path, body); key != want || again != want || keyed != wantKeyed || againKeyed != wantKeyed {
+			t.Fatalf("%s: keys %q %v then %q %v, a fresh server's %q %v", path, key, keyed, again, againKeyed, want, wantKeyed)
+		}
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
 		switch {

@@ -133,7 +133,7 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if c.est != nil && r.URL.Query().Get("stream") == "1" {
+	if streams(r) {
 		s.stream(w, r, c)
 		return
 	}
@@ -234,32 +234,83 @@ func (s *Server) RouteKey(path string, body []byte) (string, bool) {
 }
 
 // Prepare is RouteKey for a Sharded request whose body the caller has
-// already read. It also returns the request to hand this server's
-// handler: it replays the body and, when the body keyed, carries the
-// prepared call, so a locally served request is decoded once.
+// read, at most MaxBodyBytes+1 bytes of it. It also returns the request
+// to hand this server's handler: it replays the body and, when the body
+// keyed, carries the prepared call, so a locally served request is
+// decoded at most once. A body longer than the limit is the read prefix
+// of one that does not shard: the handler reads it again ahead of the
+// unread rest of r.Body, so its body limit answers 413 exactly as it
+// does for an unprepared request. Prepare times itself in
+// phase_decode_s; the caller runs before the request has its ordinal,
+// so no trace span records it.
 func (s *Server) Prepare(r *http.Request, body []byte) (string, *http.Request, bool) {
-	c := s.keyed(r.URL.Path, body)
+	t0 := time.Now()
+	var c *call
+	switch {
+	case int64(len(body)) > s.cfg.MaxBodyBytes:
+		// The read prefix of an oversized body: it does not shard.
+	case streams(r):
+		// The SSE path needs the call's estimator, which a memo hit lacks.
+		c, _ = s.prepare(r.URL.Path, bytes.NewReader(body))
+	default:
+		c = s.keyed(r.URL.Path, body)
+	}
+	s.phaseDecode.Observe(time.Since(t0).Seconds())
 	ctx := r.Context()
 	if c != nil {
 		ctx = context.WithValue(ctx, preparedKey{}, c)
 	}
-	local := r.Clone(ctx)
-	local.Body = io.NopCloser(bytes.NewReader(body))
-	local.ContentLength = int64(len(body))
+	local := r.WithContext(ctx)
+	if int64(len(body)) > s.cfg.MaxBodyBytes {
+		local.Body = struct {
+			io.Reader
+			io.Closer
+		}{io.MultiReader(bytes.NewReader(body), r.Body), r.Body}
+	} else {
+		local.Body = io.NopCloser(bytes.NewReader(body))
+		local.ContentLength = int64(len(body))
+	}
 	if c == nil {
 		return "", local, false
 	}
 	return c.key, local, true
 }
 
-// keyed prepares a body for routing; nil when the request does not shard.
+// MaxBodyBytes is the request body limit: a body longer than this
+// answers 413 and never shards.
+func (s *Server) MaxBodyBytes() int64 { return s.cfg.MaxBodyBytes }
+
+// streams reports whether r asks for the SSE variant of an estimate.
+func streams(r *http.Request) bool {
+	return r.URL.Path == pathEstimate && r.URL.RawQuery != "" && r.URL.Query().Get("stream") == "1"
+}
+
+// keyed prepares a body for routing; nil when the request does not
+// shard. A body the route memo has seen yields a call that carries the
+// remembered key and timeout and decodes the body only if the response
+// cache misses.
 func (s *Server) keyed(path string, body []byte) *call {
-	if _, ok := s.endpoints[path]; !ok || int64(len(body)) > s.cfg.MaxBodyBytes {
+	ep, ok := s.endpoints[path]
+	if !ok || int64(len(body)) > s.cfg.MaxBodyBytes {
 		return nil
 	}
+	d := digestOf(path, body)
+	if key, timeoutMS, ok := s.routes.get(d); ok {
+		s.memoHits.Inc()
+		return &call{ep: ep, key: key, timeoutMS: timeoutMS,
+			compute: func(ctx context.Context) (any, error) {
+				c, apiErr := s.prepare(path, bytes.NewReader(body))
+				if apiErr != nil { // cannot happen: the memo holds bodies that keyed
+					return nil, apiErr
+				}
+				return c.compute(ctx)
+			}}
+	}
+	s.memoMisses.Inc()
 	c, apiErr := s.prepare(path, bytes.NewReader(body))
 	if apiErr != nil {
 		return nil
 	}
+	s.routes.put(d, c)
 	return c
 }

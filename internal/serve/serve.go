@@ -99,6 +99,10 @@ type Config struct {
 	Observe obs.Options
 }
 
+// defaultCacheMaxEntries is the response cache's default bound; it also
+// bounds the route memo of a server whose response cache is unbounded.
+const defaultCacheMaxEntries = 65536
+
 func (c Config) withDefaults() Config {
 	if c.Spec.Nodes == 0 {
 		c.Spec = cluster.PaperCluster()
@@ -128,7 +132,7 @@ func (c Config) withDefaults() Config {
 		c.RetryAfter = time.Second
 	}
 	if c.CacheMaxEntries == 0 {
-		c.CacheMaxEntries = 65536
+		c.CacheMaxEntries = defaultCacheMaxEntries
 	}
 	if c.Observe.Metrics == nil {
 		c.Observe.Metrics = obs.NewRegistry()
@@ -149,7 +153,10 @@ type Server struct {
 	// repeated explanations re-run nothing. It shares the response
 	// cache's size bound.
 	plans *evalpool.PlanCache
-	start time.Time
+	// routes remembers each keyed body's shard key and timeout
+	// (routememo.go). It shares the response cache's size bound.
+	routes *routeMemo
+	start  time.Time
 	// endpoints holds the sharded POST endpoints of the request pipeline
 	// (pipeline.go), by path; read-only after New.
 	endpoints map[string]*endpoint
@@ -169,7 +176,7 @@ type Server struct {
 	// per endpoint (request_duration_s{route=…}); it is written only
 	// during New's route registration and read-only thereafter.
 	requests, errors, rejected, queued, panics, coalesced, streamed *obs.Counter
-	restored, restoreFailed                                         *obs.Counter
+	restored, restoreFailed, memoHits, memoMisses                   *obs.Counter
 	reqDur, queueWait                                               *obs.Histogram
 	phaseDecode, phaseEncode, coalescedWait                         *obs.Histogram
 	inflightG, queueG                                               *obs.Gauge
@@ -193,17 +200,20 @@ func New(cfg Config) (*Server, error) {
 	}
 	reg := cfg.Observe.Metrics
 	capacity := cfg.CacheMaxEntries
+	memoLimit := capacity
 	if capacity < 0 { // negative means unbounded, which WithCapacity spells 0
 		capacity = 0
+		memoLimit = defaultCacheMaxEntries
 	}
 	s := &Server{
-		cfg:   cfg,
-		reg:   reg,
-		cache: evalpool.NewCache[[]byte]().WithCapacity(capacity).WithMetrics(reg, "estimate_cache"),
-		plans: evalpool.NewPlanCache().WithCapacity(capacity).WithMetrics(reg),
-		start: time.Now(),
-		slots: make(chan struct{}, cfg.MaxConcurrent),
-		queue: make(chan struct{}, cfg.QueueDepth),
+		cfg:    cfg,
+		reg:    reg,
+		cache:  evalpool.NewCache[[]byte]().WithCapacity(capacity).WithMetrics(reg, "estimate_cache"),
+		plans:  evalpool.NewPlanCache().WithCapacity(capacity).WithMetrics(reg),
+		routes: newRouteMemo(memoLimit),
+		start:  time.Now(),
+		slots:  make(chan struct{}, cfg.MaxConcurrent),
+		queue:  make(chan struct{}, cfg.QueueDepth),
 
 		requests:      reg.Counter("http_requests"),
 		errors:        reg.Counter("http_errors"),
@@ -214,6 +224,8 @@ func New(cfg Config) (*Server, error) {
 		streamed:      reg.Counter("estimates_streamed"),
 		restored:      reg.Counter("cache_restored_entries"),
 		restoreFailed: reg.Counter("cache_restore_failed"),
+		memoHits:      reg.Counter("route_key_memo_hits"),
+		memoMisses:    reg.Counter("route_key_memo_misses"),
 		reqDur:        reg.Histogram("request_duration_s"),
 		queueWait:     reg.Histogram("queue_wait_s"),
 		phaseDecode:   reg.Histogram("phase_decode_s"),
@@ -238,6 +250,8 @@ func New(cfg Config) (*Server, error) {
 	obs.SetMetricHelp("estimate_cache_evictions", "Response-cache entries evicted by the LRU size bound.")
 	obs.SetMetricHelp("cache_restored_entries", "Response-cache entries restored from the disk snapshot at boot.")
 	obs.SetMetricHelp("cache_restore_failed", "Snapshot restore attempts rejected (corrupt or unreadable file).")
+	obs.SetMetricHelp("route_key_memo_hits", "Sharded bodies keyed from the route memo without decoding.")
+	obs.SetMetricHelp("route_key_memo_misses", "Sharded bodies the route memo had not seen, decoded in full.")
 	if err := s.restoreCache(); err != nil {
 		return nil, err
 	}

@@ -88,11 +88,8 @@ const (
 
 // Workload generators (Table I of the paper).
 var (
-	WordCount          = workload.WordCount
-	TeraSort           = workload.TeraSort
-	TeraSortCompressed = workload.TeraSortCompressed
-	TeraSort2R         = workload.TeraSort2R
-	TeraSort3R         = workload.TeraSort3R
+	WordCount = workload.WordCount
+	TeraSort  = workload.TeraSort
 )
 
 // DAG workflows.

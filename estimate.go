@@ -91,15 +91,3 @@ var RenderGantt = trace.Gantt
 // RenderPlan prints an estimated plan in the same layout for side-by-side
 // comparison with RenderGantt output.
 var RenderPlan = trace.Plan
-
-// Exporters for downstream analysis.
-var (
-	// ExportTasksCSV writes per-task records of a run as CSV.
-	ExportTasksCSV = trace.ExportTasksCSV
-	// ExportStagesCSV writes per-stage records of a run as CSV.
-	ExportStagesCSV = trace.ExportStagesCSV
-	// ExportResultJSON writes a run summary as JSON.
-	ExportResultJSON = trace.ExportResultJSON
-	// ExportPlanJSON writes an estimated plan as JSON.
-	ExportPlanJSON = trace.ExportPlanJSON
-)

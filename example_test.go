@@ -2,6 +2,8 @@ package boedag_test
 
 import (
 	"fmt"
+	"os"
+	"strings"
 	"time"
 
 	"boedag"
@@ -81,4 +83,54 @@ func ExampleTranslateSpark() {
 	fmt.Println(order)
 	// Output:
 	// [edges rank1 rank2 rank3]
+}
+
+// ExampleCalibrateCluster recovers the θ_X throughputs of a cluster from a
+// recorded probe-session trace instead of a live cluster: the parsed
+// session feeds its measurements through the calibration arithmetic.
+func ExampleCalibrateCluster() {
+	f, err := os.Open("internal/calibrate/testdata/probe_session.trace.json")
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	defer f.Close()
+	session, err := boedag.ParseProbeTrace(f)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	est, err := boedag.CalibrateCluster(boedag.TraceCalibrationRunner(session), session.Slots, session.Nodes)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	fmt.Printf("session: %d nodes, %d slots\n", session.Nodes, session.Slots)
+	fmt.Printf("core %v, disk read %v, network %v\n", est.CoreThroughput, est.DiskReadPool, est.NetworkPool)
+	// Output:
+	// session: 3 nodes, 6 slots
+	// core 50.02MB/s, disk read 450.88MB/s, network 180.00MB/s
+}
+
+// ExampleLoadWorkflowSpec builds a workflow from the JSON specification
+// that dagsim -spec reads; omitted fields take the documented defaults.
+func ExampleLoadWorkflowSpec() {
+	spec := `{
+	  "name": "etl",
+	  "jobs": [
+	    {"id": "extract", "input_mb": 4096, "map_selectivity": 0.4, "reduce_tasks": 8},
+	    {"id": "load", "deps": ["extract"], "input_mb": 1024}
+	  ]
+	}`
+	flow, err := boedag.LoadWorkflowSpec(strings.NewReader(spec))
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	order, _ := flow.TopoOrder()
+	fmt.Println(flow.Name, order)
+	fmt.Println("extract map tasks:", flow.Jobs[0].Profile.MapTasks())
+	// Output:
+	// etl [extract load]
+	// extract map tasks: 32
 }

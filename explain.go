@@ -1,6 +1,7 @@
 package boedag
 
 import (
+	"boedag/internal/evalpool"
 	"boedag/internal/explain"
 )
 
@@ -37,10 +38,13 @@ const (
 	ExplainResourceSubmit = explain.ResourceSubmit
 )
 
-var (
-	// Explain runs the estimator once and explains the resulting plan.
-	Explain = explain.Explain
-	// ExplainEstimatedPlan explains an already-computed plan without
-	// re-running the base estimate (the θ-sensitivity runs still execute).
-	ExplainEstimatedPlan = explain.ExplainPlan
-)
+// Explain runs the estimator once and explains the resulting plan.
+var Explain = explain.Explain
+
+// PlanCache memoizes estimator plans by canonical workflow signature;
+// set it as ExplainOptions.Cache to make repeated explanations of the
+// same scenario free.
+type PlanCache = evalpool.PlanCache
+
+// NewPlanCache returns an empty estimator-plan cache.
+var NewPlanCache = evalpool.NewPlanCache

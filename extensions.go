@@ -2,32 +2,26 @@ package boedag
 
 import (
 	"io"
-	"time"
 
 	"boedag/internal/calibrate"
 	"boedag/internal/dag"
 	"boedag/internal/progress"
 	"boedag/internal/sched"
 	"boedag/internal/simulator"
-	"boedag/internal/skew"
 	"boedag/internal/spark"
 	"boedag/internal/statemodel"
-	"boedag/internal/tuning"
 )
 
 // This file exports the extensions beyond the paper's evaluation: the
 // skew-aware empirical estimator mode (the paper's first named follow-up),
-// the automatic-tuning application (its second), an online progress
-// indicator, alternative scheduler policies, and the Spark lineage
-// adapter backing the paper's generality claim.
+// an online progress indicator, alternative scheduler policies, the Spark
+// lineage adapter backing the paper's generality claim, and cluster
+// calibration.
 
 // EmpiricalMode is the skew-aware extension of the three paper modes:
 // stage durations come from list-scheduling the measured task-time sample
 // (distribution-free straggler handling).
 const EmpiricalMode = statemodel.EmpiricalMode
-
-// AllSkewModes lists the paper's three modes plus EmpiricalMode.
-func AllSkewModes() []SkewMode { return statemodel.AllModes() }
 
 // Scheduling policies.
 type SchedPolicy = sched.Policy
@@ -38,47 +32,6 @@ const (
 	PolicyFIFO = sched.PolicyFIFO
 	PolicyFair = sched.PolicyFair
 )
-
-// SchedPolicies lists every discipline.
-func SchedPolicies() []SchedPolicy { return sched.Policies() }
-
-// Skew analysis.
-var (
-	// ZipfWeights draws partition weights under a Zipf law (reduce-key
-	// skew).
-	ZipfWeights = skew.Zipf
-	// SkewCV computes the coefficient of variation of partition weights.
-	SkewCV = skew.CV
-	// EmpiricalStageDuration list-schedules measured task times onto
-	// parallel slots.
-	EmpiricalStageDuration = skew.EmpiricalStageDuration
-	// StragglerIndex is the p99/median task-time ratio.
-	StragglerIndex = skew.StragglerIndex
-)
-
-// Automatic tuning (the paper's "automatic tuning for DAG workflows").
-type (
-	// Tuner searches job configurations with the cost models.
-	Tuner = tuning.Tuner
-	// TunerOptions configure the search.
-	TunerOptions = tuning.Options
-	// TuningKnob identifies a tunable parameter.
-	TuningKnob = tuning.Knob
-	// TuningChange is one accepted adjustment.
-	TuningChange = tuning.Change
-	// TuningRecommendation is the tuner's output.
-	TuningRecommendation = tuning.Recommendation
-)
-
-// Tuning knobs.
-const (
-	TuneReduceTasks = tuning.ReduceTasks
-	TuneCompression = tuning.Compression
-	TuneSortBuffer  = tuning.SortBuffer
-)
-
-// NewTuner returns an auto-tuner for the cluster.
-func NewTuner(spec ClusterSpec, opt TunerOptions) *Tuner { return tuning.New(spec, opt) }
 
 // Progress estimation (the ParaTimer-style application).
 type (
@@ -102,12 +55,6 @@ const (
 	JobFinished = statemodel.JobFinished
 )
 
-// SnapshotAt reconstructs the observed workflow state at instant t of a
-// simulation result.
-func SnapshotAt(res *simulator.Result, t time.Duration) WorkflowSnapshot {
-	return progress.SnapshotAt(res, t)
-}
-
 // ProgressCurve evaluates a progress indicator against the simulated
 // truth at the given completion fractions.
 func ProgressCurve(in *ProgressIndicator, res *simulator.Result, fractions []float64) ([]ProgressPoint, error) {
@@ -116,20 +63,11 @@ func ProgressCurve(in *ProgressIndicator, res *simulator.Result, fractions []flo
 
 // Online progress estimation over a live event stream.
 type (
-	// LiveProgressTracker folds observation events into a live snapshot
-	// and re-runs Algorithm 1 incrementally.
-	LiveProgressTracker = progress.Tracker
 	// LiveProgressPoint is one (elapsed, predicted-remaining) sample.
 	LiveProgressPoint = progress.LivePoint
 	// LiveProgressOptions tune the online tracker.
 	LiveProgressOptions = progress.LiveOptions
 )
-
-// NewLiveProgressTracker builds a synchronous online tracker; feed it
-// events with Observe. Use FollowProgress for the channel-based wrapper.
-func NewLiveProgressTracker(in *ProgressIndicator, opt LiveProgressOptions) *LiveProgressTracker {
-	return progress.NewTracker(in, opt)
-}
 
 // FollowProgress subscribes to a trace stream and emits one
 // LiveProgressPoint per re-estimate while the observed run executes.
@@ -152,11 +90,9 @@ type (
 // runs on this repository's simulator and cost models.
 func TranslateSpark(l *SparkLineage) (*dag.Workflow, error) { return spark.Translate(l) }
 
-// SparkWordCount and SparkPageRank are canonical example lineages.
-var (
-	SparkWordCount = spark.WordCountLineage
-	SparkPageRank  = spark.PageRankLineage
-)
+// SparkPageRank is a canonical example lineage: an edge scan followed by
+// the given number of rank-update rounds.
+var SparkPageRank = spark.PageRankLineage
 
 // Cluster calibration (the profiling step before using the models on new
 // hardware).
@@ -171,11 +107,6 @@ type (
 // BOE model consumes.
 func CalibrateCluster(run CalibrationRunner, slots, nodes int) (*CalibrationEstimate, error) {
 	return calibrate.Cluster(run, slots, nodes)
-}
-
-// SimulatorCalibrationRunner backs calibration probes with the simulator.
-func SimulatorCalibrationRunner(spec ClusterSpec) CalibrationRunner {
-	return calibrate.SimulatorRunner(spec)
 }
 
 // Offline (trace-driven) calibration: recover θ_X from recorded Chrome
@@ -202,11 +133,7 @@ func ParseProbeTrace(r io.Reader) (*TraceSession, error) {
 }
 
 // TraceCalibrationRunner serves a recorded session's measurements to the
-// calibration arithmetic — the offline counterpart of
-// SimulatorCalibrationRunner.
+// calibration arithmetic, so CalibrateCluster recovers θ_X offline.
 func TraceCalibrationRunner(s *TraceSession) CalibrationRunner {
 	return calibrate.TraceRunner(s)
 }
-
-// OrderRecommendation is the FIFO submission-order optimizer's output.
-type OrderRecommendation = tuning.OrderRecommendation

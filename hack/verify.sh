@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # verify.sh — the repo's full verification gate:
 #   gofmt cleanliness, go vet, the race-enabled test suite with the
-#   per-package coverage gate (hack/coverage_baseline.txt), the trace
+#   per-package coverage gate (hack/coverage_baseline.txt), vet and tests
+#   of the separate perfbench module, the trace
 #   parser / request decoder / hierarchical allocator / cache snapshot
 #   fuzz smokes, the scheduler property suite under -race, the fleet
 #   smoke (sharded-tier race suites plus a 3-node perfbench fleet-hot
@@ -17,8 +18,8 @@
 # Usage: hack/verify.sh [-quick]
 #   -quick skips the full race detector run, the regression gate, and
 #   the overhead benchmark (the streaming-bus tests and the incremental
-#   equivalence suite still run under -race, and the coverage, fuzz,
-#   10k-estimate and OTLP checks still run).
+#   equivalence suite still run under -race, and the coverage, perfbench,
+#   fuzz, 10k-estimate and OTLP checks still run).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,6 +39,15 @@ go vet ./...
 
 echo "== go build =="
 go build ./...
+
+# perfbench_check vets and tests the perfbench load generator. It is its
+# own Go module, so the root ./... never reaches it: without this step a
+# change to an internal package that perfbench uses would surface only
+# when the benchmark is next run.
+perfbench_check() {
+    echo "== perfbench module vet + test =="
+    (cd perfbench && go vet ./... && go test -count=1 ./...)
+}
 
 # otlp_check exports a real dagsim run that predicts and simulates as
 # OTLP/JSON and validates the resourceSpans/resourceMetrics shape with
@@ -198,6 +208,7 @@ if [[ $quick -eq 1 ]]; then
     echo "== go test (quick, with coverage) =="
     go test -cover ./... | tee "$cover_out"
     coverage_gate "$cover_out"
+    perfbench_check
     # The streaming bus and the evalpool engine are the genuinely
     # concurrent pieces: even the quick gate runs their tests under the
     # race detector.
@@ -230,6 +241,7 @@ fi
 echo "== go test -race (with coverage) =="
 go test -race -cover ./... | tee "$cover_out"
 coverage_gate "$cover_out"
+perfbench_check
 
 explain_smoke
 fleet_smoke

@@ -16,7 +16,6 @@ package boe
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 	"time"
@@ -234,16 +233,6 @@ func (m *Model) allocateRows(sc *Solver) *fairshare.Result {
 	return sc.arena.Allocate(m.capacities(), sc.consumers)
 }
 
-// solve derives sub-stages and consumers for the groups and runs the
-// allocation, all on scratch buffers.
-func (m *Model) solve(sc *Solver, groups []TaskGroup) *fairshare.Result {
-	sc.growRows(len(groups))
-	for i, g := range groups {
-		m.fillRow(sc, i, g)
-	}
-	return m.allocateRows(sc)
-}
-
 // usersOf counts the tasks demanding each resource, for the equal-share
 // μ_X(Δ) = 1/Δ_X view the paper's per-operation times use.
 func usersOf(sc *Solver, groups []TaskGroup) (users [cluster.NumResources]int) {
@@ -275,8 +264,7 @@ func (m *Model) render(sc *Solver, alloc *fairshare.Result, users *[cluster.NumR
 			// The paper's t_X = D_X/(μ_X(Δ)·θ_X): the op's time at its
 			// equal share of resource X among the Δ_X tasks demanding
 			// it, capped by what a single task can drive. For a lone
-			// group the largest of these equals the sub-stage duration;
-			// their ratios are the Headroom report.
+			// group the largest of these equals the sub-stage duration.
 			share := m.Spec.TotalCapacity(op.Resource).PerTask(users[op.Resource])
 			share = share.Min(m.Spec.Node.PerTaskCap(op.Resource))
 			est.Ops = append(est.Ops, OpEstimate{
@@ -288,21 +276,6 @@ func (m *Model) render(sc *Solver, alloc *fairshare.Result, users *[cluster.NumR
 		}
 	}
 	return est
-}
-
-// EstimateState estimates, for every group, the duration of its *current*
-// sub-stage under contention from all the other groups. This is the
-// primitive the state-based workflow model calls once per workflow state.
-func (m *Model) EstimateState(groups []TaskGroup) []SubStageEstimate {
-	sc := evalPool.Get().(*Solver)
-	defer evalPool.Put(sc)
-	alloc := m.solve(sc, groups)
-	users := usersOf(sc, groups)
-	out := make([]SubStageEstimate, len(groups))
-	for i := range groups {
-		out[i] = m.render(sc, alloc, &users, i)
-	}
-	return out
 }
 
 // TaskTime estimates the full execution time of one task of (profile,
@@ -393,45 +366,4 @@ func aggregate(subs []workload.SubStage) workload.SubStage {
 		}
 	}
 	return out
-}
-
-// StageTime estimates the wall-clock duration of an entire job stage run
-// alone at the given parallelism: the tasks execute in ⌈N/Δ⌉ waves of
-// TaskTime each (the discrete wave model; see DESIGN.md §5 for the fluid
-// ablation).
-func (m *Model) StageTime(p workload.JobProfile, s workload.Stage, parallelism int) time.Duration {
-	n := p.Tasks(s)
-	if n == 0 || parallelism <= 0 {
-		return 0
-	}
-	task := m.TaskTime(p, s, min(parallelism, n))
-	waves := (n + parallelism - 1) / parallelism
-	return time.Duration(waves) * task.Duration
-}
-
-// Headroom reports how decisively the sub-stage's bottleneck wins: the
-// ratio of the bottleneck operation's time to the runner-up's. A headroom
-// of 1.6 means speeding the bottleneck resource up by more than 1.6×
-// (hardware upgrade, compression, fewer replicas) moves the bottleneck
-// elsewhere and further spending stops paying — the what-if question
-// capacity planners ask. Sub-stages with fewer than two operations return
-// +Inf (nothing to shift to).
-func (ss SubStageEstimate) Headroom() float64 {
-	if len(ss.Ops) < 2 {
-		return math.Inf(1)
-	}
-	var first, second time.Duration
-	for _, op := range ss.Ops {
-		switch {
-		case op.Time > first:
-			second = first
-			first = op.Time
-		case op.Time > second:
-			second = op.Time
-		}
-	}
-	if second <= 0 {
-		return math.Inf(1)
-	}
-	return first.Seconds() / second.Seconds()
 }

@@ -116,34 +116,38 @@ func TestFigure1Phenomenon(t *testing.T) {
 	}
 }
 
-func TestEstimateStateReportsUtilization(t *testing.T) {
+func TestTaskTimeWithReportsUtilization(t *testing.T) {
 	m := New(cluster.PaperCluster())
 	wc := workload.WordCount(100 * units.GB)
-	ests := m.EstimateState([]TaskGroup{
-		{Profile: wc, Stage: workload.Map, SubStage: 0, Parallelism: 132},
-	})
-	if len(ests) != 1 {
-		t.Fatalf("got %d estimates", len(ests))
+	est := m.TaskTimeWith(wc, workload.Map, 132, nil)
+	if len(est.SubStages) == 0 {
+		t.Fatal("no sub-stage estimates")
 	}
-	if u := ests[0].Utilization[cluster.CPU]; u < 0.95 {
+	ss := est.SubStages[0]
+	if u := ss.Utilization[cluster.CPU]; u < 0.95 {
 		t.Errorf("CPU utilization = %.2f, want ≈ 1 at Δ=132 (oversubscribed)", u)
 	}
-	if ests[0].Duration <= 0 {
+	if ss.Duration <= 0 {
 		t.Error("zero sub-stage duration")
 	}
-	if len(ests[0].Ops) == 0 {
+	if len(ss.Ops) == 0 {
 		t.Error("no op estimates")
 	}
 }
 
-func TestEstimateStateDoneGroup(t *testing.T) {
+// A group past its last sub-stage has finished: it demands nothing, so
+// it leaves the target's task time exactly as if it were absent.
+func TestTaskTimeWithIgnoresDoneGroup(t *testing.T) {
 	m := New(cluster.PaperCluster())
 	wc := workload.WordCount(units.GB)
-	ests := m.EstimateState([]TaskGroup{
-		{Profile: wc, Stage: workload.Map, SubStage: 99, Parallelism: 4},
-	})
-	if ests[0].Duration != 0 {
-		t.Errorf("out-of-range sub-stage duration = %v, want 0", ests[0].Duration)
+	ts := TaskGroup{Profile: workload.TeraSort(units.GB), Stage: workload.Map, Parallelism: 66}
+	alone := m.TaskTime(wc, workload.Map, 66)
+	if busy := m.TaskTimeWith(wc, workload.Map, 66, []TaskGroup{ts}); busy.Duration <= alone.Duration {
+		t.Fatalf("an active group should slow the target: %v vs %v alone", busy.Duration, alone.Duration)
+	}
+	ts.SubStage = 99
+	if done := m.TaskTimeWith(wc, workload.Map, 66, []TaskGroup{ts}); done.Duration != alone.Duration {
+		t.Errorf("done environment group moved the task time: %v, want %v", done.Duration, alone.Duration)
 	}
 }
 
@@ -176,27 +180,6 @@ func TestEqualSplitAblationDiffers(t *testing.T) {
 	if n.Duration <= f.Duration {
 		t.Errorf("equal-split (%v) should over-estimate vs max-min (%v) for the CPU-light job",
 			n.Duration, f.Duration)
-	}
-}
-
-func TestStageTimeWaves(t *testing.T) {
-	m := New(cluster.PaperCluster())
-	p := workload.WordCount(10 * units.GB) // 80 map tasks
-	single := m.TaskTime(p, workload.Map, 40).Duration
-	two := m.StageTime(p, workload.Map, 40)
-	if two != 2*single {
-		t.Errorf("StageTime(Δ=40) = %v, want 2 waves × %v", two, single)
-	}
-	if got := m.StageTime(p, workload.Map, 0); got != 0 {
-		t.Errorf("StageTime(Δ=0) = %v, want 0", got)
-	}
-	if got := m.StageTime(p, workload.Reduce, 66); got <= 0 {
-		t.Errorf("reduce StageTime = %v, want positive", got)
-	}
-	mapOnly := p
-	mapOnly.ReduceTasks = 0
-	if got := m.StageTime(mapOnly, workload.Reduce, 10); got != 0 {
-		t.Errorf("map-only reduce StageTime = %v, want 0", got)
 	}
 }
 
@@ -277,30 +260,6 @@ func TestContentionNeverHelps(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHeadroom(t *testing.T) {
-	m := New(cluster.PaperCluster())
-	// TS map at high Δ: read/write/CPU all in the same ballpark → small
-	// headroom; WC map: CPU dwarfs the IO ops → large headroom.
-	ts := m.TaskTime(workload.TeraSort(100*units.GB), workload.Map, 132)
-	wc := m.TaskTime(workload.WordCount(100*units.GB), workload.Map, 132)
-	tsH := ts.SubStages[0].Headroom()
-	wcH := wc.SubStages[0].Headroom()
-	if tsH < 1 || wcH < 1 {
-		t.Fatalf("headroom below 1: ts %.2f, wc %.2f", tsH, wcH)
-	}
-	if wcH <= tsH {
-		t.Errorf("WC map headroom %.2f should exceed TS map's %.2f (CPU dominates WC)", wcH, tsH)
-	}
-	// Degenerate cases.
-	if h := (SubStageEstimate{}).Headroom(); !math.IsInf(h, 1) {
-		t.Errorf("empty sub-stage headroom = %v, want +Inf", h)
-	}
-	one := SubStageEstimate{Ops: []OpEstimate{{Time: time.Second}}}
-	if h := one.Headroom(); !math.IsInf(h, 1) {
-		t.Errorf("single-op headroom = %v, want +Inf", h)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 )
@@ -192,16 +191,6 @@ func Read(path string) ([]Entry, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
-	}
-	return Decode(data)
-}
-
-// ReadFrom decodes a snapshot from a stream (everything is read into
-// memory; snapshots are bounded by construction).
-func ReadFrom(r io.Reader) ([]Entry, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("cachestore: %w", err)
 	}
 	return Decode(data)
 }

@@ -118,13 +118,6 @@ func TestDecodeRejectsHugeClaims(t *testing.T) {
 	}
 }
 
-func TestReadFrom(t *testing.T) {
-	out, err := ReadFrom(bytes.NewReader(Encode(sample())))
-	if err != nil || len(out) != 3 {
-		t.Fatalf("ReadFrom: %d entries, err %v", len(out), err)
-	}
-}
-
 // flip returns a copy of data with one byte inverted.
 func flip(data []byte, i int) []byte {
 	out := append([]byte(nil), data...)

@@ -161,9 +161,6 @@ func (s Spec) TotalSlots() int {
 	return per * s.Nodes
 }
 
-// TotalCores returns the cluster-wide core count.
-func (s Spec) TotalCores() int { return s.Node.Cores * s.Nodes }
-
 // TotalMemoryMB returns the cluster-wide schedulable memory.
 func (s Spec) TotalMemoryMB() int { return s.Node.MemoryMB * s.Nodes }
 

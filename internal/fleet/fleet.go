@@ -256,11 +256,18 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, peer string, body
 	return true
 }
 
+// forwardBufs recycles copyFlushing's relay buffers across forwarded
+// responses; a pointer to an array goes in and out of the pool without
+// allocating.
+var forwardBufs = sync.Pool{New: func() any { return new([32 * 1024]byte) }}
+
 // copyFlushing relays the peer's response body, flushing after every read
 // so SSE frames stream through the proxy instead of buffering until EOF.
 func copyFlushing(w http.ResponseWriter, r io.Reader) {
 	flusher, _ := w.(http.Flusher)
-	buf := make([]byte, 32*1024)
+	bp := forwardBufs.Get().(*[32 * 1024]byte)
+	defer forwardBufs.Put(bp)
+	buf := bp[:]
 	for {
 		nr, err := r.Read(buf)
 		if nr > 0 {

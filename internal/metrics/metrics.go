@@ -87,20 +87,6 @@ func Min(xs []float64) float64 {
 	return m
 }
 
-// Max returns the largest value (zero for empty input).
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Median returns the median of xs (zero for empty input).
 func Median(xs []float64) float64 {
 	n := len(xs)
@@ -113,20 +99,4 @@ func Median(xs []float64) float64 {
 		return s[n/2]
 	}
 	return (s[n/2-1] + s[n/2]) / 2
-}
-
-// StdDev returns the sample standard deviation (zero for fewer than two
-// values).
-func StdDev(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	mean := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n-1))
 }

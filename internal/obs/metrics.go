@@ -336,30 +336,3 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	}
 	return nil
 }
-
-// WriteText renders every metric as aligned plain text, sorted by name —
-// the human half of the registry's two export formats.
-func (r *Registry) WriteText(w io.Writer) error {
-	cn, gn, hn := r.snapshot()
-	if len(cn) > 0 {
-		fmt.Fprintln(w, "counters:")
-		for _, n := range cn {
-			fmt.Fprintf(w, "  %-36s %d\n", n, r.Counter(n).Value())
-		}
-	}
-	if len(gn) > 0 {
-		fmt.Fprintln(w, "gauges:")
-		for _, n := range gn {
-			fmt.Fprintf(w, "  %-36s %.4f\n", n, r.Gauge(n).Value())
-		}
-	}
-	if len(hn) > 0 {
-		fmt.Fprintln(w, "histograms:")
-		for _, n := range hn {
-			s := r.Histogram(n).summary()
-			fmt.Fprintf(w, "  %-36s n=%d mean=%.3f min=%.3f p50=%.3f p90=%.3f p95=%.3f p99=%.3f max=%.3f\n",
-				n, s.Count, s.Mean, s.Min, s.P50, s.P90, s.P95, s.P99, s.Max)
-		}
-	}
-	return nil
-}

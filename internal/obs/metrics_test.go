@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -152,23 +151,5 @@ func TestRegistryWriteJSON(t *testing.T) {
 	h := decoded.Histograms["task_duration_s"]
 	if h.Count != 1 || math.Abs(h.Mean-12.5) > 1e-9 {
 		t.Errorf("histogram = %+v", h)
-	}
-}
-
-func TestRegistryWriteText(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("iters").Inc()
-	r.Gauge("states").Set(3)
-	r.Histogram("wait_s").Observe(1)
-
-	var sb strings.Builder
-	if err := r.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"counters:", "iters", "gauges:", "states", "histograms:", "wait_s", "p95"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("text dump missing %q:\n%s", want, out)
-		}
 	}
 }

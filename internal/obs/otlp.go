@@ -249,9 +249,8 @@ func spanEvent(ev Event) bool {
 }
 
 // SpanCount returns how many spans an OTLP export of events produces:
-// one per span-shaped event (task, sub-stage, stage, workflow state).
-// WriteOTLPTraces emits exactly this many, which is what the round-trip
-// check in hack/verify.sh asserts.
+// one per span-shaped event (task, sub-stage, stage, workflow state,
+// request and request phase).
 func SpanCount(events []Event) int {
 	n := 0
 	for _, ev := range events {
@@ -444,28 +443,6 @@ func writeIndented(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(v)
-}
-
-// WriteOTLPTraces exports the span-shaped events as an OTLP/JSON traces
-// payload ({"resourceSpans": ...}) and returns the number of spans
-// written (== SpanCount(events)).
-func WriteOTLPTraces(w io.Writer, events []Event, opt OTLPOptions) (int, error) {
-	opt = opt.withDefaults(events)
-	payload := tracesPayload(events, opt)
-	if err := writeIndented(w, otlpExport{ResourceSpans: payload}); err != nil {
-		return 0, fmt.Errorf("obs: write otlp traces: %w", err)
-	}
-	return len(payload[0].ScopeSpans[0].Spans), nil
-}
-
-// WriteOTLPMetrics exports the registry as an OTLP/JSON metrics payload
-// ({"resourceMetrics": ...}).
-func WriteOTLPMetrics(w io.Writer, reg *Registry, opt OTLPOptions) error {
-	opt = opt.withDefaults(nil)
-	if err := writeIndented(w, otlpExport{ResourceMetrics: metricsPayload(reg, opt)}); err != nil {
-		return fmt.Errorf("obs: write otlp metrics: %w", err)
-	}
-	return nil
 }
 
 // WriteOTLP exports events and registry together as one JSON object

@@ -81,12 +81,8 @@ type otlpShape struct {
 func TestWriteOTLPTracesShape(t *testing.T) {
 	events := otlpTestEvents()
 	var buf bytes.Buffer
-	n, err := WriteOTLPTraces(&buf, events, OTLPOptions{Start: time.Unix(1700000000, 0)})
-	if err != nil {
+	if err := WriteOTLP(&buf, events, nil, OTLPOptions{Start: time.Unix(1700000000, 0)}); err != nil {
 		t.Fatal(err)
-	}
-	if want := SpanCount(events); n != want {
-		t.Errorf("WriteOTLPTraces returned %d spans, SpanCount says %d", n, want)
 	}
 
 	var shape otlpShape
@@ -153,10 +149,10 @@ func TestWriteOTLPTracesDeterministic(t *testing.T) {
 	events := otlpTestEvents()
 	opt := OTLPOptions{Start: time.Unix(1700000000, 0)}
 	var a, b bytes.Buffer
-	if _, err := WriteOTLPTraces(&a, events, opt); err != nil {
+	if err := WriteOTLP(&a, events, nil, opt); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := WriteOTLPTraces(&b, events, opt); err != nil {
+	if err := WriteOTLP(&b, events, nil, opt); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -172,7 +168,7 @@ func TestWriteOTLPMetricsShape(t *testing.T) {
 	reg.Histogram("sim_task_duration_s").Observe(14.0)
 
 	var buf bytes.Buffer
-	if err := WriteOTLPMetrics(&buf, reg, OTLPOptions{Start: time.Unix(1700000000, 0)}); err != nil {
+	if err := WriteOTLP(&buf, nil, reg, OTLPOptions{Start: time.Unix(1700000000, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	var shape otlpShape
@@ -305,7 +301,7 @@ func TestWriteOTLPTracesAnnotated(t *testing.T) {
 	}
 	opt := OTLPOptions{Start: time.Unix(1700000000, 0), Annotations: ann}
 	var buf bytes.Buffer
-	if _, err := WriteOTLPTraces(&buf, events, opt); err != nil {
+	if err := WriteOTLP(&buf, events, nil, opt); err != nil {
 		t.Fatal(err)
 	}
 
@@ -380,10 +376,10 @@ func TestWriteOTLPTracesAnnotated(t *testing.T) {
 
 	// Nil annotations must not change a single byte.
 	var plain, annNil bytes.Buffer
-	if _, err := WriteOTLPTraces(&plain, events, OTLPOptions{Start: time.Unix(1700000000, 0)}); err != nil {
+	if err := WriteOTLP(&plain, events, nil, OTLPOptions{Start: time.Unix(1700000000, 0)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := WriteOTLPTraces(&annNil, events, OTLPOptions{Start: time.Unix(1700000000, 0), Annotations: nil}); err != nil {
+	if err := WriteOTLP(&annNil, events, nil, OTLPOptions{Start: time.Unix(1700000000, 0), Annotations: nil}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(plain.Bytes(), annNil.Bytes()) {

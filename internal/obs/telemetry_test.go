@@ -167,12 +167,15 @@ func TestOTLPRequestSpans(t *testing.T) {
 		t.Fatalf("SpanCount = %d, want 3 (request + 2 phases)", got)
 	}
 	var buf bytes.Buffer
-	n, err := WriteOTLPTraces(&buf, events, OTLPOptions{Start: time.Unix(0, 0)})
-	if err != nil {
+	if err := WriteOTLP(&buf, events, nil, OTLPOptions{Start: time.Unix(0, 0)}); err != nil {
 		t.Fatal(err)
 	}
-	if n != 3 {
-		t.Fatalf("WriteOTLPTraces emitted %d spans, want 3", n)
+	var shape otlpShape
+	if err := json.Unmarshal(buf.Bytes(), &shape); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(shape.ResourceSpans[0].ScopeSpans[0].Spans); n != 3 {
+		t.Fatalf("WriteOTLP emitted %d spans, want 3", n)
 	}
 	out := buf.String()
 	// The phase spans must resolve their parent to the request span's id.

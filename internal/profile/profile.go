@@ -121,28 +121,6 @@ func (s *Set) Stage(job string, st workload.Stage) (StageProfile, bool) {
 	return StageProfile{}, false
 }
 
-// Merge folds other's profiles into s (overwriting same job+stage).
-func (s *Set) Merge(other *Set) {
-	if s.Stages == nil {
-		s.Stages = make(map[string][]StageProfile)
-	}
-	for job, ps := range other.Stages {
-		for _, p := range ps {
-			replaced := false
-			for i, old := range s.Stages[job] {
-				if old.Stage == p.Stage {
-					s.Stages[job][i] = p
-					replaced = true
-					break
-				}
-			}
-			if !replaced {
-				s.Stages[job] = append(s.Stages[job], p)
-			}
-		}
-	}
-}
-
 // Save writes the set as indented JSON.
 func (s *Set) Save(w io.Writer) error {
 	enc := json.NewEncoder(w)

@@ -158,34 +158,3 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		t.Fatal("garbage accepted")
 	}
 }
-
-func TestMergeReplacesAndAppends(t *testing.T) {
-	base := &Set{Stages: map[string][]StageProfile{
-		"wc": {sampleProfile()},
-	}}
-	newer := sampleProfile()
-	newer.TaskTimes = []time.Duration{42 * time.Second}
-	other := &Set{Stages: map[string][]StageProfile{
-		"wc": {newer, {Job: "wc", Stage: workload.Reduce, TaskTimes: []time.Duration{time.Second}}},
-		"ts": {{Job: "ts", Stage: workload.Map, TaskTimes: []time.Duration{2 * time.Second}}},
-	}}
-	base.Merge(other)
-	got, _ := base.Stage("wc", workload.Map)
-	if got.Median() != 42*time.Second {
-		t.Errorf("merge did not replace: median %v", got.Median())
-	}
-	if _, ok := base.Stage("wc", workload.Reduce); !ok {
-		t.Error("merge did not append new stage")
-	}
-	if _, ok := base.Stage("ts", workload.Map); !ok {
-		t.Error("merge did not add new job")
-	}
-}
-
-func TestMergeIntoEmpty(t *testing.T) {
-	var base Set
-	base.Merge(&Set{Stages: map[string][]StageProfile{"x": {sampleProfile()}}})
-	if _, ok := base.Stage("x", workload.Map); !ok {
-		t.Error("merge into zero-value set failed")
-	}
-}

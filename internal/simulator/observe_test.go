@@ -1,6 +1,7 @@
 package simulator
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"boedag/internal/cluster"
@@ -107,6 +108,30 @@ func TestObservationDoesNotPerturb(t *testing.T) {
 		if base.Tasks[i].End != traced.Tasks[i].End {
 			t.Fatalf("task %d end drifted", i)
 		}
+	}
+}
+
+// TestDisabledTracerAllocatesNothing is the exact form of the zero-cost
+// contract: a stream with no subscribers reports Enabled() == false, so a
+// run traced into it must allocate exactly as much as an untraced run.
+// The collector is off while counting: a collection may empty a
+// sync.Pool mid-run and charge the refill to whichever side is measured.
+func TestDisabledTracerAllocatesNothing(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	spec := cluster.PaperCluster()
+	flow := obsFlow()
+	stream := obs.NewStream()
+	allocs := func(o obs.Options) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, err := New(spec, Options{Seed: 1, Observe: o}).Run(flow); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	off := allocs(obs.Options{})
+	disabled := allocs(obs.Options{Tracer: stream})
+	if disabled != off {
+		t.Errorf("a subscriber-less stream costs %v allocations per run, an untraced run %v", disabled, off)
 	}
 }
 

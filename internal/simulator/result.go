@@ -156,24 +156,6 @@ func (r *Result) TasksOf(job string, s workload.Stage) []TaskRecord {
 	return out
 }
 
-// JobSpan returns the start and end of a job across both stages.
-func (r *Result) JobSpan(job string) (start, end time.Duration, ok bool) {
-	first := true
-	for _, s := range r.Stages {
-		if s.Job != job {
-			continue
-		}
-		if first || s.Start < start {
-			start = s.Start
-		}
-		if first || s.End > end {
-			end = s.End
-		}
-		first = false
-	}
-	return start, end, !first
-}
-
 // String summarizes the run.
 func (r *Result) String() string {
 	return fmt.Sprintf("%s: makespan %.1fs, %d tasks, %d stages, %d states",

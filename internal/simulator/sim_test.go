@@ -113,14 +113,11 @@ func TestDependenciesRespected(t *testing.T) {
 		{ID: "B", Profile: b, Deps: []string{"A"}},
 	}}
 	res := run(t, flow, Options{})
-	_, aEnd, ok := res.JobSpan("A")
-	if !ok {
-		t.Fatal("job A missing")
+	aReduce, bMap := res.StageOf("A", workload.Reduce), res.StageOf("B", workload.Map)
+	if aReduce == nil || bMap == nil {
+		t.Fatalf("stages missing: A reduce %v, B map %v", aReduce, bMap)
 	}
-	bStart, _, ok := res.JobSpan("B")
-	if !ok {
-		t.Fatal("job B missing")
-	}
+	aEnd, bStart := aReduce.End, bMap.Start
 	if bStart < aEnd {
 		t.Errorf("B started at %v before A finished at %v", bStart, aEnd)
 	}

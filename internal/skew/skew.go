@@ -117,17 +117,6 @@ func EmpiricalStageDuration(tasks []time.Duration, slots int) time.Duration {
 	return units.Seconds(makespan)
 }
 
-// LPTStageDuration is EmpiricalStageDuration with longest-processing-time
-// ordering — the lower envelope a skew-aware scheduler could reach by
-// launching the largest partitions first. The gap between the two bounds
-// quantifies how much a straggler-aware scheduler could recover, the
-// optimization the paper's future work points at.
-func LPTStageDuration(tasks []time.Duration, slots int) time.Duration {
-	sorted := append([]time.Duration(nil), tasks...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] > sorted[j] })
-	return EmpiricalStageDuration(sorted, slots)
-}
-
 // Quantiles summarizes a set of task durations at the given fractions,
 // interpolating between order statistics.
 func Quantiles(tasks []time.Duration, qs []float64) []time.Duration {

@@ -2,6 +2,7 @@ package skew
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -130,8 +131,8 @@ func TestListSchedulingGrahamBound(t *testing.T) {
 			}
 		}
 		bound := sum/time.Duration(slots) + longest + time.Microsecond
-		return LPTStageDuration(tasks, slots) <= bound &&
-			EmpiricalStageDuration(tasks, slots) <= bound
+		return EmpiricalStageDuration(tasks, slots) <= bound &&
+			EmpiricalStageDuration(longestFirst(tasks), slots) <= bound
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -147,10 +148,19 @@ func TestLPTBeatsWorstCaseOrder(t *testing.T) {
 	}
 	tasks = append(tasks, 10*time.Second) // straggler listed last
 	plain := EmpiricalStageDuration(tasks, 3)
-	lpt := LPTStageDuration(tasks, 3)
+	lpt := EmpiricalStageDuration(longestFirst(tasks), 3)
 	if lpt >= plain {
 		t.Errorf("LPT %v not better than tail-straggler order %v", lpt, plain)
 	}
+}
+
+// longestFirst returns the tasks in longest-processing-time order, the
+// lower envelope a skew-aware scheduler reaches by launching the largest
+// partitions first.
+func longestFirst(tasks []time.Duration) []time.Duration {
+	sorted := append([]time.Duration(nil), tasks...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] > sorted[j] })
+	return sorted
 }
 
 // Property: the makespan is bounded below by both the critical task and

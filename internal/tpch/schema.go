@@ -9,7 +9,6 @@ package tpch
 
 import (
 	"fmt"
-	"sort"
 
 	"boedag/internal/units"
 )
@@ -44,18 +43,6 @@ var tableStats = map[Table]struct {
 	Supplier: {1400 * units.KB, 10_000},
 	Nation:   {2 * units.KB, 25},
 	Region:   {1 * units.KB, 5},
-}
-
-// Tables lists the base tables from largest to smallest.
-func Tables() []Table {
-	out := make([]Table, 0, len(tableStats))
-	for t := range tableStats {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return tableStats[out[i]].bytesPerSF > tableStats[out[j]].bytesPerSF
-	})
-	return out
 }
 
 // Schema is a TPC-H database instance at a given scale factor.

@@ -8,7 +8,6 @@ import (
 	"strconv"
 
 	"boedag/internal/simulator"
-	"boedag/internal/statemodel"
 )
 
 // ExportTasksCSV writes a simulation result's task records as CSV, one
@@ -134,50 +133,6 @@ func ExportResultJSON(w io.Writer, res *simulator.Result) error {
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(out); err != nil {
 		return fmt.Errorf("trace: export result: %w", err)
-	}
-	return nil
-}
-
-// planJSON mirrors resultJSON for estimated plans, so a prediction and a
-// run diff cleanly.
-type planJSON struct {
-	Workflow string          `json:"workflow"`
-	Makespan float64         `json:"makespan_s"`
-	Stages   []planStageJSON `json:"stages"`
-	States   []stateJSON     `json:"states"`
-}
-
-type planStageJSON struct {
-	Job         string  `json:"job"`
-	Stage       string  `json:"stage"`
-	Start       float64 `json:"start_s"`
-	End         float64 `json:"end_s"`
-	TaskTime    float64 `json:"task_time_s"`
-	Parallelism int     `json:"parallelism"`
-}
-
-// ExportPlanJSON writes an estimated plan as indented JSON.
-func ExportPlanJSON(w io.Writer, plan *statemodel.Plan) error {
-	out := planJSON{Workflow: plan.Workflow, Makespan: plan.Makespan.Seconds()}
-	for _, s := range plan.Stages {
-		out.Stages = append(out.Stages, planStageJSON{
-			Job:         s.Job,
-			Stage:       s.Stage.String(),
-			Start:       s.Start.Seconds(),
-			End:         s.End.Seconds(),
-			TaskTime:    s.TaskTime.Seconds(),
-			Parallelism: s.Parallelism,
-		})
-	}
-	for _, st := range plan.States {
-		out.States = append(out.States, stateJSON{
-			Seq: st.Seq, Start: st.Start.Seconds(), End: st.End.Seconds(), Running: st.Running,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		return fmt.Errorf("trace: export plan: %w", err)
 	}
 	return nil
 }

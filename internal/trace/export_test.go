@@ -5,16 +5,7 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"strconv"
-	"strings"
 	"testing"
-	"time"
-
-	"boedag/internal/boe"
-	"boedag/internal/cluster"
-	"boedag/internal/dag"
-	"boedag/internal/statemodel"
-	"boedag/internal/units"
-	"boedag/internal/workload"
 )
 
 func TestExportTasksCSV(t *testing.T) {
@@ -94,25 +85,5 @@ func TestExportResultJSON(t *testing.T) {
 	}
 	if decoded.Tasks != len(res.Tasks) {
 		t.Errorf("tasks = %d", decoded.Tasks)
-	}
-}
-
-func TestExportPlanJSON(t *testing.T) {
-	spec := cluster.PaperCluster()
-	timer := &statemodel.BOETimer{Model: boe.New(spec), TaskStartOverhead: time.Second}
-	plan, err := statemodel.New(spec, timer, statemodel.Options{}).
-		Estimate(dag.Single(workload.WordCount(3 * units.GB)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := ExportPlanJSON(&buf, plan); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{`"workflow": "WC"`, `"task_time_s"`, `"parallelism"`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("plan JSON missing %s", want)
-		}
 	}
 }

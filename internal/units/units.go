@@ -25,14 +25,10 @@ const (
 // Rate is a throughput in bytes per second.
 type Rate float64
 
-// Common throughput rates. The paper quotes device speeds in decimal-ish
-// megabytes; we keep binary MB for internal consistency — the models only
-// ever use ratios of rates, so the convention cancels out.
-const (
-	KBps Rate = Rate(KB)
-	MBps Rate = Rate(MB)
-	GBps Rate = Rate(GB)
-)
+// MBps is one megabyte per second. The paper quotes device speeds in
+// decimal-ish megabytes; we keep binary MB for internal consistency — the
+// models only ever use ratios of rates, so the convention cancels out.
+const MBps Rate = Rate(MB)
 
 // String renders a size using the largest unit that keeps the mantissa
 // readable, e.g. "1.50GB".
@@ -80,10 +76,6 @@ func Seconds(s float64) time.Duration {
 	}
 	return time.Duration(s * float64(time.Second))
 }
-
-// Sec converts a duration to float seconds; the models do arithmetic in
-// seconds and only convert to time.Duration at the edges.
-func Sec(d time.Duration) float64 { return d.Seconds() }
 
 // PerTask divides an aggregate rate evenly among n tasks, the μ(Δ)=1/Δ
 // sharing rule from the paper's resource usage model. n <= 1 returns the

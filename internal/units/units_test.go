@@ -122,9 +122,3 @@ func TestSecondsMonotonic(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestSec(t *testing.T) {
-	if got := Sec(1500 * time.Millisecond); got != 1.5 {
-		t.Errorf("Sec(1.5s) = %v, want 1.5", got)
-	}
-}

@@ -116,13 +116,7 @@ var (
 	// ExportOTLP writes one JSON document holding both resourceSpans and
 	// resourceMetrics (either may be omitted when empty/nil).
 	ExportOTLP = obs.WriteOTLP
-	// ExportOTLPTraces writes just the spans; returns the span count.
-	ExportOTLPTraces = obs.WriteOTLPTraces
-	// ExportOTLPMetrics writes just the metrics.
-	ExportOTLPMetrics = obs.WriteOTLPMetrics
 	// PostOTLP POSTs traces and metrics to an OTLP/HTTP collector's
 	// /v1/traces and /v1/metrics endpoints.
 	PostOTLP = obs.PostOTLP
-	// OTLPSpanCount reports how many events of a run are span-shaped.
-	OTLPSpanCount = obs.SpanCount
 )

@@ -53,25 +53,6 @@ func WebAnalytics(logBytes units.Bytes) *dag.Workflow {
 	return experiments.WebAnalytics(logBytes)
 }
 
-// Additional HiBench workloads (beyond the paper's KMeans and PageRank).
-var (
-	// HiBenchSort is the Sort micro-benchmark profile.
-	HiBenchSort = hibench.Sort
-	// HiBenchAggregation is the SQL Aggregation scan profile.
-	HiBenchAggregation = hibench.Aggregation
-	// HiBenchJoin is the two-job SQL Join workflow.
-	HiBenchJoin = hibench.Join
-	// HiBenchBayes is the three-job naive-Bayes training workflow.
-	HiBenchBayes = hibench.Bayes
-)
-
-// BayesConfig sizes the Bayes workflow.
-type BayesConfig = hibench.BayesConfig
-
 // LoadWorkflowSpec parses a JSON workflow specification (the format the
 // dagsim -spec flag consumes).
 var LoadWorkflowSpec = dag.LoadWorkflow
-
-// SaveWorkflowSpec writes a workflow as a JSON spec that
-// LoadWorkflowSpec round-trips.
-var SaveWorkflowSpec = dag.SaveWorkflow

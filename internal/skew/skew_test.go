@@ -1,91 +1,11 @@
 package skew
 
 import (
-	"math"
 	"sort"
 	"testing"
 	"testing/quick"
 	"time"
 )
-
-func TestZipfNormalizesMass(t *testing.T) {
-	w, err := Zipf(64, 1.1, 0, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(w) != 64 {
-		t.Fatalf("got %d weights", len(w))
-	}
-	sum := 0.0
-	for _, x := range w {
-		if x < 0 {
-			t.Fatalf("negative weight %v", x)
-		}
-		sum += x
-	}
-	if math.Abs(sum-64) > 1e-6 {
-		t.Errorf("weights sum to %v, want 64", sum)
-	}
-}
-
-func TestZipfSkewGrowsWithExponent(t *testing.T) {
-	flat, err := Zipf(64, 0, 0, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	steep, err := Zipf(64, 1.5, 0, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if CV(steep) <= CV(flat) {
-		t.Errorf("CV(s=1.5)=%v not above CV(s=0)=%v", CV(steep), CV(flat))
-	}
-}
-
-func TestZipfDeterministic(t *testing.T) {
-	a, _ := Zipf(16, 1.0, 0, 9)
-	b, _ := Zipf(16, 1.0, 0, 9)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("same seed, different weights")
-		}
-	}
-	c, _ := Zipf(16, 1.0, 0, 10)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Error("different seeds, identical weights")
-	}
-}
-
-func TestZipfRejections(t *testing.T) {
-	if _, err := Zipf(0, 1, 0, 1); err == nil {
-		t.Error("n=0 accepted")
-	}
-	if _, err := Zipf(4, -1, 0, 1); err == nil {
-		t.Error("negative exponent accepted")
-	}
-}
-
-func TestCV(t *testing.T) {
-	if got := CV([]float64{1, 1, 1, 1}); got != 0 {
-		t.Errorf("CV(flat) = %v", got)
-	}
-	if got := CV([]float64{2}); got != 0 {
-		t.Errorf("CV(single) = %v", got)
-	}
-	if got := CV(nil); got != 0 {
-		t.Errorf("CV(nil) = %v", got)
-	}
-	// {1,3}: mean 2, sample σ = √2 → CV = √2/2.
-	if got := CV([]float64{1, 3}); math.Abs(got-math.Sqrt2/2) > 1e-9 {
-		t.Errorf("CV({1,3}) = %v", got)
-	}
-}
 
 func TestEmpiricalStageDurationBasics(t *testing.T) {
 	sec := func(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
@@ -190,35 +110,5 @@ func TestEmpiricalStageDurationBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestQuantiles(t *testing.T) {
-	sec := func(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
-	tasks := []time.Duration{sec(1), sec(2), sec(3), sec(4), sec(5)}
-	qs := Quantiles(tasks, []float64{0, 0.5, 1, -1, 2})
-	want := []time.Duration{sec(1), sec(3), sec(5), sec(1), sec(5)}
-	for i := range want {
-		if qs[i] != want[i] {
-			t.Errorf("quantile %d = %v, want %v", i, qs[i], want[i])
-		}
-	}
-	if got := Quantiles(nil, []float64{0.5}); got[0] != 0 {
-		t.Errorf("empty quantile = %v", got[0])
-	}
-}
-
-func TestStragglerIndex(t *testing.T) {
-	sec := func(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
-	uniform := []time.Duration{sec(10), sec(10), sec(10), sec(10)}
-	if got := StragglerIndex(uniform); math.Abs(got-1) > 1e-9 {
-		t.Errorf("uniform straggler index = %v, want 1", got)
-	}
-	skewed := append(append([]time.Duration{}, uniform...), sec(100))
-	if got := StragglerIndex(skewed); got <= 1 {
-		t.Errorf("skewed straggler index = %v, want > 1", got)
-	}
-	if got := StragglerIndex(nil); got != 0 {
-		t.Errorf("empty straggler index = %v", got)
 	}
 }

@@ -35,9 +35,9 @@ type Model struct {
 	EqualSplit bool
 
 	// stages memoizes the pure (profile, stage) → sub-stage derivation;
-	// see stageInfoFor.
+	// see Stage.
 	mu     sync.RWMutex
-	stages map[stageKey]*stageInfo
+	stages map[stageKey]*StageInfo
 }
 
 // New returns a Model for the cluster.
@@ -134,11 +134,26 @@ type stageKey struct {
 	s workload.Stage
 }
 
-// stageInfo caches what a (profile, stage) pair contributes to every
-// solve: its sub-stage list and the aggregate steady-state demand.
-type stageInfo struct {
+// StageInfo is one resolved (profile, stage) derivation: the stage's
+// sub-stage list and their aggregate steady-state demand. It is
+// immutable, so a caller that solves the same job stage in many states
+// resolves it once (Stage) and hands it to every BeginState.
+type StageInfo struct {
 	subs []workload.SubStage
 	agg  workload.SubStage
+}
+
+// view is the sub-stage a group at index sub runs: the aggregate, one
+// of the stage's sub-stages, or an empty "done" sub-stage out of range.
+func (si *StageInfo) view(sub int) workload.SubStage {
+	switch {
+	case sub == AggregateSubStage:
+		return si.agg
+	case sub < 0 || sub >= len(si.subs):
+		return workload.SubStage{Name: "done"}
+	default:
+		return si.subs[sub]
+	}
 }
 
 // stageCacheMax bounds the derivation cache. Long-lived models serve
@@ -146,11 +161,11 @@ type stageInfo struct {
 // cache clears wholesale at the cap instead of growing without bound.
 const stageCacheMax = 1 << 12
 
-// stageInfoFor memoizes p.SubStages(s, m.Spec) and its aggregate. Both
-// are pure functions of the key and the model's spec (fixed after
+// Stage memoizes p.SubStages(s, m.Spec) and its aggregate. Both are
+// pure functions of the key and the model's spec (fixed after
 // construction), so a hit returns the identical value a fresh
 // derivation would.
-func (m *Model) stageInfoFor(p workload.JobProfile, s workload.Stage) *stageInfo {
+func (m *Model) Stage(p workload.JobProfile, s workload.Stage) *StageInfo {
 	k := stageKey{p, s}
 	m.mu.RLock()
 	si := m.stages[k]
@@ -159,10 +174,10 @@ func (m *Model) stageInfoFor(p workload.JobProfile, s workload.Stage) *stageInfo
 		return si
 	}
 	subs := p.SubStages(s, m.Spec)
-	si = &stageInfo{subs: subs, agg: aggregate(subs)}
+	si = &StageInfo{subs: subs, agg: aggregate(subs)}
 	m.mu.Lock()
 	if m.stages == nil || len(m.stages) >= stageCacheMax {
-		m.stages = make(map[stageKey]*stageInfo, 64)
+		m.stages = make(map[stageKey]*StageInfo, 64)
 	}
 	m.stages[k] = si
 	m.mu.Unlock()
@@ -175,12 +190,23 @@ func (m *Model) stageInfoFor(p workload.JobProfile, s workload.Stage) *stageInfo
 // of solves on large DAGs, and the per-solve garbage was the dominant
 // cost at 10k jobs. Model methods draw a solver from the pool per call;
 // a caller making a run of solves holds one for the run instead (see
-// GetSolver and TaskTimeAtOn). A Solver is not safe for concurrent use.
+// GetSolver, BeginState and TaskTimeInState). A Solver is not safe for
+// concurrent use.
 type Solver struct {
-	subs      []workload.SubStage
+	// consumers are one solve's rows: the solved group first, then the
+	// state's other groups in their order.
 	consumers []fairshare.Consumer
 	groups    []TaskGroup
 	arena     fairshare.Arena
+
+	// The state begun by BeginState: its groups, their resolved stages
+	// (the caller's slice, or own when the caller passed none) and, once
+	// the state's first solve built them, every group's environment row.
+	state []TaskGroup
+	infos []*StageInfo
+	own   []*StageInfo
+	rows  []fairshare.Consumer
+	built bool
 }
 
 var evalPool = sync.Pool{New: func() any { return new(Solver) }}
@@ -200,28 +226,37 @@ func PutSolver(sv *Solver) { evalPool.Put(sv) }
 // Stats reports the fair-share work of the solves made on sv.
 func (sv *Solver) Stats() fairshare.Stats { return sv.arena.Stats() }
 
-// growRows sizes the scratch sub-stage and consumer rows for n groups.
-func (sc *Solver) growRows(n int) {
-	if cap(sc.subs) < n {
-		sc.subs = make([]workload.SubStage, n)
-		sc.consumers = make([]fairshare.Consumer, n)
-	}
-	sc.subs = sc.subs[:n]
-	sc.consumers = sc.consumers[:n]
+// BeginState hands sv the groups running in one workflow state, so
+// every task-time solve of the state (TaskTimeInState) shares one
+// derivation of each group's environment row: Algorithm 1 holds Δ and
+// the contention environment fixed for the whole state. infos, when
+// non-nil, holds each group's resolved stage index for index; the
+// state's first solve resolves the nil entries and stores them there,
+// so a caller that keeps them resolves each job stage once. groups and
+// infos must stay unchanged until the state's last solve; the state
+// lasts until the next BeginState on sv.
+func (m *Model) BeginState(sv *Solver, groups []TaskGroup, infos []*StageInfo) {
+	sv.state, sv.infos = groups, infos
+	sv.built = false
 }
 
-// fillRow derives group g's current sub-stage and consumer into row i.
-func (m *Model) fillRow(sc *Solver, i int, g TaskGroup) {
-	si := m.stageInfoFor(g.Profile, g.Stage)
-	switch {
-	case g.SubStage == AggregateSubStage:
-		sc.subs[i] = si.agg
-	case g.SubStage < 0 || g.SubStage >= len(si.subs):
-		sc.subs[i] = workload.SubStage{Name: "done"}
-	default:
-		sc.subs[i] = si.subs[g.SubStage]
+// buildRows resolves the state's stages and derives every group's
+// environment row: its current sub-stage as a fair-share consumer.
+func (m *Model) buildRows(sv *Solver) {
+	if sv.infos == nil {
+		sv.own = append(sv.own[:0], make([]*StageInfo, len(sv.state))...)
+		sv.infos = sv.own
 	}
-	sc.consumers[i] = fairshare.TaskConsumer(m.Spec.Node, sc.subs[i].Ops, g.Parallelism)
+	sv.rows = sv.rows[:0]
+	for i, g := range sv.state {
+		si := sv.infos[i]
+		if si == nil {
+			si = m.Stage(g.Profile, g.Stage)
+			sv.infos[i] = si
+		}
+		sv.rows = append(sv.rows, fairshare.TaskConsumer(m.Spec.Node, si.view(g.SubStage).Ops, g.Parallelism))
+	}
+	sv.built = true
 }
 
 // allocateRows runs the allocation over the filled consumer rows. The
@@ -235,32 +270,32 @@ func (m *Model) allocateRows(sc *Solver) *fairshare.Result {
 
 // usersOf counts the tasks demanding each resource, for the equal-share
 // μ_X(Δ) = 1/Δ_X view the paper's per-operation times use.
-func usersOf(sc *Solver, groups []TaskGroup) (users [cluster.NumResources]int) {
-	for i, c := range sc.consumers {
+func usersOf(consumers []fairshare.Consumer) (users [cluster.NumResources]int) {
+	for _, c := range consumers {
 		for r := 0; r < cluster.NumResources; r++ {
 			if c.Demand[r] > 0 {
-				users[r] += groups[i].Parallelism
+				users[r] += c.Count
 			}
 		}
 	}
 	return users
 }
 
-// render materializes the estimate of group i from a solve. With nil
-// users it leaves Ops empty (the lean task-time path).
-func (m *Model) render(sc *Solver, alloc *fairshare.Result, users *[cluster.NumResources]int, i int) SubStageEstimate {
+// render materializes the estimate of sub-stage sub, solved as row 0.
+// With nil users it leaves Ops empty (the lean task-time path).
+func (m *Model) render(sub workload.SubStage, alloc *fairshare.Result, users *[cluster.NumResources]int) SubStageEstimate {
 	est := SubStageEstimate{
-		Name:        sc.subs[i].Name,
-		Bottleneck:  alloc.Bottleneck[i],
+		Name:        sub.Name,
+		Bottleneck:  alloc.Bottleneck[0],
 		Utilization: alloc.Utilization,
 	}
-	rate := alloc.Rate[i]
-	if rate > 0 && len(sc.subs[i].Ops) > 0 {
+	rate := alloc.Rate[0]
+	if rate > 0 && len(sub.Ops) > 0 {
 		est.Duration = units.Seconds(1 / rate)
 		if users == nil {
 			return est
 		}
-		for _, op := range sc.subs[i].Ops {
+		for _, op := range sub.Ops {
 			// The paper's t_X = D_X/(μ_X(Δ)·θ_X): the op's time at its
 			// equal share of resource X among the Δ_X tasks demanding
 			// it, capped by what a single task can drive. For a lone
@@ -296,7 +331,8 @@ func (m *Model) TaskTimeWith(p workload.JobProfile, s workload.Stage, parallelis
 	g := append(sc.groups[:0], TaskGroup{Profile: p, Stage: s, Parallelism: parallelism})
 	g = append(g, env...)
 	sc.groups = g
-	return m.taskTime(sc, g, true)
+	m.BeginState(sc, g, nil)
+	return m.taskTime(sc, 0, true)
 }
 
 // TaskTimeAt estimates the task time of groups[self] under contention
@@ -311,38 +347,43 @@ func (m *Model) TaskTimeAt(groups []TaskGroup, self int) TaskEstimate {
 	return m.TaskTimeAtOn(sc, groups, self)
 }
 
-// TaskTimeAtOn is TaskTimeAt solving on the caller's solver.
+// TaskTimeAtOn is TaskTimeAt solving on the caller's solver. It begins
+// a state of its own on sv.
 func (m *Model) TaskTimeAtOn(sc *Solver, groups []TaskGroup, self int) TaskEstimate {
-	g := append(sc.groups[:0], groups[self])
-	g = append(g, groups[:self]...)
-	g = append(g, groups[self+1:]...)
-	sc.groups = g
-	return m.taskTime(sc, g, false)
+	m.BeginState(sc, groups, nil)
+	return m.taskTime(sc, self, false)
 }
 
-// taskTime sums the sub-stage estimates of g[0] against the g[1:]
-// environment, varying g[0]'s current sub-stage; withOps renders each
-// sub-stage's per-operation report. The environment rows are identical
-// across the sub-stage sweep, so they are derived once and only row 0
-// is refilled per iteration.
-func (m *Model) taskTime(sc *Solver, g []TaskGroup, withOps bool) TaskEstimate {
-	si := m.stageInfoFor(g[0].Profile, g[0].Stage)
-	sc.growRows(len(g))
-	for i := 1; i < len(g); i++ {
-		m.fillRow(sc, i, g[i])
+// TaskTimeInState is TaskTimeAt of the state begun on sv by BeginState:
+// the same answer, with the other groups' rows taken from the state
+// instead of derived again.
+func (m *Model) TaskTimeInState(sv *Solver, self int) TaskEstimate {
+	return m.taskTime(sv, self, false)
+}
+
+// taskTime sums the sub-stage estimates of the state's group self
+// against the state's other groups, varying self's current sub-stage;
+// withOps renders each sub-stage's per-operation report. The rows are
+// self first, then the others in state order (the fill's tie order
+// depends on it); only row 0 changes across the sub-stage sweep.
+func (m *Model) taskTime(sv *Solver, self int, withOps bool) TaskEstimate {
+	if !sv.built {
+		m.buildRows(sv)
 	}
-	est := TaskEstimate{Stage: g[0].Stage}
-	for k := range si.subs {
-		g[0].SubStage = k
-		sc.subs[0] = si.subs[k]
-		sc.consumers[0] = fairshare.TaskConsumer(m.Spec.Node, si.subs[k].Ops, g[0].Parallelism)
-		alloc := m.allocateRows(sc)
+	g, si := sv.state[self], sv.infos[self]
+	sv.consumers = append(sv.consumers[:0], fairshare.Consumer{})
+	sv.consumers = append(sv.consumers, sv.rows[:self]...)
+	sv.consumers = append(sv.consumers, sv.rows[self+1:]...)
+	est := TaskEstimate{Stage: g.Stage}
+	for _, sub := range si.subs {
+		sv.consumers[0] = fairshare.TaskConsumer(m.Spec.Node, sub.Ops, g.Parallelism)
+		alloc := m.allocateRows(sv)
 		var ss SubStageEstimate
 		if withOps {
-			users := usersOf(sc, g)
-			ss = m.render(sc, alloc, &users, 0)
+			users := usersOf(sv.consumers)
+			ss = m.render(sub, alloc, &users)
 		} else {
-			ss = m.render(sc, alloc, nil, 0)
+			ss = m.render(sub, alloc, nil)
 		}
 		est.SubStages = append(est.SubStages, ss)
 		est.Duration += ss.Duration

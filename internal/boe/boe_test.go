@@ -2,12 +2,14 @@ package boe
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"boedag/internal/cluster"
+	"boedag/internal/fairshare"
 	"boedag/internal/units"
 	"boedag/internal/workload"
 )
@@ -344,4 +346,114 @@ func TestTaskTimeAtIsLean(t *testing.T) {
 			t.Errorf("sub-stage %d: TaskTimeAt rendered %d operations", k, len(ss.Ops))
 		}
 	}
+}
+
+// TestStatePathMatchesTaskTimeAtOn: one BeginState serving every group
+// of a state, solved in random order with some stages resolved up front,
+// answers bit for bit what TaskTimeAtOn answers for each group alone,
+// and what a fresh arena solves on rows built directly from the
+// profiles (self first, then the others in state order). The states are
+// seeded random group sets with aggregate, in-range and done sub-stages,
+// compressed and replicated profiles, and duplicate groups.
+func TestStatePathMatchesTaskTimeAtOn(t *testing.T) {
+	m := New(cluster.PaperCluster())
+	r := rand.New(rand.NewSource(3))
+	profiles := []workload.JobProfile{
+		workload.WordCount(10 * units.GB), workload.WordCount(40 * units.GB),
+		workload.TeraSort(20 * units.GB), workload.TeraSortCompressed(8 * units.GB),
+		workload.TeraSort3R(5 * units.GB),
+	}
+	sv, alone := GetSolver(), GetSolver()
+	defer PutSolver(sv)
+	defer PutSolver(alone)
+	for trial := 0; trial < 300; trial++ {
+		groups := make([]TaskGroup, 1+r.Intn(12))
+		for i := range groups {
+			if i > 0 && r.Intn(4) == 0 {
+				groups[i] = groups[r.Intn(i)]
+				continue
+			}
+			g := TaskGroup{
+				Profile:     profiles[r.Intn(len(profiles))],
+				Stage:       workload.Stage(r.Intn(2)),
+				SubStage:    AggregateSubStage,
+				Parallelism: 1 + r.Intn(66),
+			}
+			if r.Intn(3) == 0 {
+				g.SubStage = r.Intn(6) - 1 // in range, or done past the end
+			}
+			groups[i] = g
+		}
+		infos := make([]*StageInfo, len(groups))
+		for i := range infos {
+			if r.Intn(2) == 0 {
+				infos[i] = m.Stage(groups[i].Profile, groups[i].Stage)
+			}
+		}
+		m.BeginState(sv, groups, infos)
+		for _, self := range r.Perm(len(groups)) {
+			got := m.TaskTimeInState(sv, self)
+			want := m.TaskTimeAtOn(alone, groups, self)
+			if !sameEstimate(got, want) {
+				t.Fatalf("trial %d self %d: state path %+v, TaskTimeAtOn %+v", trial, self, got, want)
+			}
+			if ref := directTaskTime(m, groups, self); !sameEstimate(got, ref) {
+				t.Fatalf("trial %d self %d: state path %+v, direct rows %+v", trial, self, got, ref)
+			}
+		}
+		for i, si := range infos {
+			if si != m.Stage(groups[i].Profile, groups[i].Stage) {
+				t.Fatalf("trial %d: group %d's stage was not resolved into infos", trial, i)
+			}
+		}
+	}
+}
+
+// sameEstimate compares two lean task estimates bit for bit.
+func sameEstimate(a, b TaskEstimate) bool {
+	if a.Stage != b.Stage || a.Duration != b.Duration || len(a.SubStages) != len(b.SubStages) {
+		return false
+	}
+	for k := range a.SubStages {
+		x, y := a.SubStages[k], b.SubStages[k]
+		if x.Name != y.Name || x.Duration != y.Duration || x.Bottleneck != y.Bottleneck || x.Utilization != y.Utilization {
+			return false
+		}
+	}
+	return true
+}
+
+// directTaskTime solves groups[self]'s task time on a fresh arena, its
+// rows derived straight from the profiles: self's sub-stage first, then
+// every other group's current sub-stage in order.
+func directTaskTime(m *Model, groups []TaskGroup, self int) TaskEstimate {
+	var arena fairshare.Arena
+	view := func(g TaskGroup) workload.SubStage {
+		subs := g.Profile.SubStages(g.Stage, m.Spec)
+		switch {
+		case g.SubStage == AggregateSubStage:
+			return aggregate(subs)
+		case g.SubStage < 0 || g.SubStage >= len(subs):
+			return workload.SubStage{Name: "done"}
+		}
+		return subs[g.SubStage]
+	}
+	g := groups[self]
+	est := TaskEstimate{Stage: g.Stage}
+	for _, sub := range g.Profile.SubStages(g.Stage, m.Spec) {
+		rows := []fairshare.Consumer{fairshare.TaskConsumer(m.Spec.Node, sub.Ops, g.Parallelism)}
+		for i, o := range groups {
+			if i != self {
+				rows = append(rows, fairshare.TaskConsumer(m.Spec.Node, view(o).Ops, o.Parallelism))
+			}
+		}
+		res := arena.Allocate(m.capacities(), rows)
+		ss := SubStageEstimate{Name: sub.Name, Bottleneck: res.Bottleneck[0], Utilization: res.Utilization}
+		if res.Rate[0] > 0 && len(sub.Ops) > 0 {
+			ss.Duration = units.Seconds(1 / res.Rate[0])
+		}
+		est.SubStages = append(est.SubStages, ss)
+		est.Duration += ss.Duration
+	}
+	return est
 }

@@ -149,6 +149,12 @@ func (c *Cache[V]) drop(key string, e *cacheEntry[V]) {
 // computation finishes.
 func (c *Cache[V]) Do(key string, compute func() (V, error)) (V, error) {
 	e, _ := c.lookup(key)
+	return c.resolve(key, e, compute)
+}
+
+// resolve answers the looked-up entry e of key: at once when it is
+// finished, else by running or joining its single-flight computation.
+func (c *Cache[V]) resolve(key string, e *cacheEntry[V], compute func() (V, error)) (V, error) {
 	if e.done.Load() {
 		return e.val, e.err
 	}
@@ -218,11 +224,17 @@ func (c *Cache[V]) Range(f func(key string, val V) bool) {
 // whether this caller started it or joined another's — DoContext returns
 // ctx's error immediately and the computation keeps going in the
 // background, so its result still lands in the cache for the next
-// request. Hit/miss accounting is identical to Do.
+// request. Hit/miss accounting is identical to Do. A finished entry is
+// answered in the caller's goroutine; only a lookup that has to wait
+// starts the helper goroutine that waits for it.
 func (c *Cache[V]) DoContext(ctx context.Context, key string, compute func() (V, error)) (V, error) {
 	var zero V
 	if err := ctx.Err(); err != nil {
 		return zero, err
+	}
+	e, _ := c.lookup(key)
+	if e.done.Load() {
+		return e.val, e.err
 	}
 	type outcome struct {
 		val      V
@@ -236,7 +248,7 @@ func (c *Cache[V]) DoContext(ctx context.Context, key string, compute func() (V,
 				done <- outcome{panicked: p}
 			}
 		}()
-		v, err := c.Do(key, compute)
+		v, err := c.resolve(key, e, compute)
 		done <- outcome{val: v, err: err}
 	}()
 	select {

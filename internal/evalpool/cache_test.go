@@ -28,6 +28,30 @@ func TestCacheDoContextReturnsResult(t *testing.T) {
 	}
 }
 
+// TestCacheDoContextHitAllocatesNothing: a lookup that finds a finished
+// entry answers in the caller's goroutine, with no helper goroutine or
+// channel, and still counts as a hit.
+func TestCacheDoContextHitAllocatesNothing(t *testing.T) {
+	c := NewCache[[]byte]().WithCapacity(4)
+	ctx := context.Background()
+	body := []byte("cached")
+	compute := func() ([]byte, error) { return body, nil }
+	if _, err := c.DoContext(ctx, "k", compute); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if got, err := c.DoContext(ctx, "k", compute); err != nil || &got[0] != &body[0] {
+			t.Fatalf("hit = %q, %v", got, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a DoContext hit allocates %v times, want 0", allocs)
+	}
+	if hits, misses := c.Stats(); hits != 101 || misses != 1 {
+		t.Errorf("stats = %d hits / %d misses, want 101 / 1", hits, misses)
+	}
+}
+
 func TestCacheDoContextPropagatesError(t *testing.T) {
 	c := NewCache[int]()
 	boom := errors.New("boom")

@@ -1,5 +1,7 @@
 package sched
 
+import "math"
+
 // This file holds the progressive fill every one-container-at-a-time
 // allocator shares: DRF, the slot-fair policy, and both fill phases of
 // the hierarchical scheduler. Each grants containers one at a time, each
@@ -177,4 +179,182 @@ func (f *flatFill) allocation(withHeld bool) Allocation {
 		}
 	}
 	return out
+}
+
+// drfKey is rank k's DRF priority: its dominant share at its current
+// container count.
+func (f *flatFill) drfKey(k int) float64 {
+	return dominantShare(f.pool, f.reqs[f.order[k]], f.have(k))
+}
+
+// levelMax bounds the pool, holdings, grant limits and container shapes
+// the level step takes on, so no sum of count × shape products it
+// compares with the pool overflows.
+const levelMax = 1 << 31
+
+// levelGrant makes the leading grants of a DRF fill in one pass, before
+// the heap takes over: every container whose DRF key is strictly below
+// a level v, where v is the highest level at which all those grants fit
+// the pool, counted exactly.
+//
+// This is exact by construction. The fill pops keys in non-decreasing
+// order (a granted job's key only grows, others' keys do not move), so
+// the grants keyed below v are a prefix of its (key, rank) order. Usage
+// only grows inside the prefix, and the whole prefix fits, so no job
+// with a key below v is dropped for lack of pool room before it is done;
+// pending and caps are counted into each job's limit. The heap then
+// finishes from the state the prefix leaves, which is where the plain
+// fill stands after the same grants. When no level helps (or the inputs
+// leave the range the count is exact on) it grants nothing.
+func (f *flatFill) levelGrant() {
+	pool := f.pool
+	limited := [3]bool{pool.MemoryMB > 0, pool.VCores > 0, pool.Slots > 0}
+	free := [3]int{pool.MemoryMB - f.mem, pool.VCores - f.cpu, pool.Slots - f.slots}
+	dims := [3]int{pool.MemoryMB, pool.VCores, pool.Slots}
+	for j := range free {
+		if limited[j] && (free[j] < 0 || dims[j] > levelMax) {
+			return
+		}
+	}
+	for k, i := range f.order {
+		r, h := f.reqs[i], f.held[k]
+		if r.MemoryMB < 0 || r.VCores < 0 || r.MemoryMB > levelMax || r.VCores > levelMax ||
+			h > levelMax || h < -levelMax || f.limit(k) > levelMax {
+			return
+		}
+	}
+	v := f.fluidLevel(free, limited)
+	g := f.grant // all zero: the counts below v, applied only if they fit
+	for try := 0; try < 8; try++ {
+		var use [3]int
+		fit := true
+		for k, i := range f.order {
+			r := f.reqs[i]
+			g[k] = f.countBelow(k, v)
+			use[0] += g[k] * r.MemoryMB
+			use[1] += g[k] * r.VCores
+			use[2] += g[k]
+			for j := range use {
+				fit = fit && (!limited[j] || use[j] <= free[j])
+			}
+		}
+		if fit {
+			f.mem += use[0]
+			f.cpu += use[1]
+			f.slots += use[2]
+			return
+		}
+		// Lower the level to the highest key granted, dropping every
+		// grant at that key.
+		top := math.Inf(-1)
+		for k := range f.order {
+			if g[k] > 0 {
+				top = math.Max(top, dominantShare(pool, f.reqs[f.order[k]], f.held[k]+g[k]-1))
+			}
+		}
+		if math.IsInf(top, -1) {
+			break
+		}
+		v = top
+	}
+	clear(g)
+}
+
+// limit is how many containers rank k can be granted in this fill by
+// its pending count, its cap and the pool's free slots.
+func (f *flatFill) limit(k int) int {
+	r := f.reqs[f.order[k]]
+	n := r.Pending
+	if r.Cap > 0 {
+		n = min(n, r.Cap-f.held[k])
+	}
+	if f.pool.Slots > 0 {
+		n = min(n, f.pool.Slots-f.slots)
+	}
+	return max(n, 0)
+}
+
+// countBelow counts rank k's grants keyed below v: the containers
+// i < limit(k) whose key, the dominant share at held+i, is below v. The
+// key grows with the count, so the fluid guess ⌈v/d⌉ is corrected
+// against the exact keys.
+func (f *flatFill) countBelow(k int, v float64) int {
+	r, h, lim := f.reqs[f.order[k]], f.held[k], f.limit(k)
+	d := dominantShare(f.pool, r, 1)
+	if d == 0 { // the key is 0 at every count
+		if v > 0 {
+			return lim
+		}
+		return 0
+	}
+	n := 0
+	switch x := math.Ceil(v/d) - float64(h); {
+	case x >= float64(lim):
+		n = lim
+	case x > 0:
+		n = int(x)
+	}
+	for n > 0 && dominantShare(f.pool, r, h+n-1) >= v {
+		n--
+	}
+	for n < lim && dominantShare(f.pool, r, h+n) < v {
+		n++
+	}
+	return n
+}
+
+// fluidLevel solves the fill's fluid relaxation: the highest level v at
+// which every job holds v/d containers (its dominant share per container
+// d; at least its holdings, at most holdings plus its limit) within the
+// free pool. It steps along the usage curve by its slope, stopping at
+// each level where another job's holdings come under the level, so it
+// never overshoots; saturating jobs only flatten the curve. It returns
+// +Inf when no pool dimension binds.
+func (f *flatFill) fluidLevel(free [3]int, limited [3]bool) float64 {
+	v := 0.0
+	for it := 0; it <= 2*len(f.order)+1; it++ {
+		var use, slope [3]float64
+		next := math.Inf(1)
+		for k, i := range f.order {
+			r := f.reqs[i]
+			lim := float64(f.limit(k))
+			shape := [3]float64{float64(r.MemoryMB), float64(r.VCores), 1}
+			d := dominantShare(f.pool, r, 1)
+			x := lim
+			if d > 0 {
+				x = v/d - float64(f.held[k])
+				switch {
+				case x < 0:
+					next = math.Min(next, float64(f.held[k])*d)
+					x = 0
+				case x >= lim:
+					x = lim
+				default:
+					for j := range slope {
+						slope[j] += shape[j] / d
+					}
+				}
+			}
+			for j := range use {
+				use[j] += shape[j] * x
+			}
+		}
+		step := math.Inf(1)
+		for j := range use {
+			if limited[j] && slope[j] > 0 {
+				step = math.Min(step, (float64(free[j])-use[j])/slope[j])
+			}
+		}
+		switch {
+		case !(step > 0): // converged, or over the pool already
+			return v
+		case v+step > next:
+			v = next
+		case math.IsInf(step, 1):
+			return step
+		default:
+			v += step
+		}
+	}
+	return v
 }

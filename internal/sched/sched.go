@@ -92,12 +92,13 @@ func (a Allocation) Total() int {
 // held containers count toward shares and consume pool capacity but are
 // not re-granted, and a holder's entry is present (possibly zero) in the
 // result. Ties break deterministically by JobID. Container shapes must
-// be non-negative (see progressiveFill).
+// be non-negative (see progressiveFill). The grants keyed below the
+// highest level that fits are made in one pass (levelGrant); the heap
+// makes the rest, one at a time.
 func DRF(pool Pool, reqs []Request, held Allocation) Allocation {
 	f := newFlatFill(pool, reqs, held)
-	progressiveFill(f.heap, len(reqs), func(k int) float64 {
-		return dominantShare(pool, reqs[f.order[k]], f.have(k))
-	}, f.eligible, f.grantOne)
+	f.levelGrant()
+	progressiveFill(f.heap, len(reqs), f.drfKey, f.eligible, f.grantOne)
 	return f.allocation(true)
 }
 

@@ -307,8 +307,13 @@ func buildEstimateResponse(plan *statemodel.Plan) EstimateResponse {
 }
 
 // marshalBody renders a response body: indented for curl-friendliness,
-// newline-terminated, byte-deterministic for deterministic inputs.
+// newline-terminated, byte-deterministic for deterministic inputs. An
+// EstimateResponse takes the one-pass encoder (encode.go), which writes
+// the same bytes.
 func marshalBody(v any) ([]byte, error) {
+	if r, ok := v.(EstimateResponse); ok {
+		return encodeEstimate(&r)
+	}
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return nil, err

@@ -150,6 +150,10 @@ type estJob struct {
 	// fp caches the profile fingerprint for dist-cache keys (only
 	// computed when the timer is cacheable).
 	fp uint64
+	// info is the current stage's resolved BOE derivation, filled by the
+	// first state that solves on the run's solver and cleared when the
+	// stage changes.
+	info *boe.StageInfo
 	// lastDelta is the parallelism granted in the previous state; running
 	// tasks still hold their containers, so the job's demand cannot drop
 	// below them (see pendingTasks).
@@ -203,10 +207,11 @@ const (
 // the remaining time of each job's current stage, then advance to the
 // nearest stage transition and update everyone's progress.
 //
-// Scratch memory comes from an internal pool; use EstimateWith to pin a
-// caller-owned Scratch (deterministic warm-cache reuse across calls).
+// Scratch memory comes from an internal pool, and the dist cache lasts
+// for the one run; use EstimateWith to pin a caller-owned Scratch
+// (deterministic warm-cache reuse across calls).
 func (e *Estimator) Estimate(w *dag.Workflow) (*Plan, error) {
-	s := scratchPool.Get().(*Scratch)
+	s := pooledScratch()
 	defer scratchPool.Put(s)
 	return e.EstimateWith(s, w)
 }
@@ -447,6 +452,15 @@ func (e *Estimator) run(s *Scratch, w *dag.Workflow, remaining int) (*Plan, erro
 			for i, j := range running {
 				groups[i] = groupFor(j.profile, j.stage, delta[i])
 			}
+			// The state's environment is fixed from here on: hand it to
+			// the solver once, with each job's resolved stage.
+			infos := s.infos[:n]
+			if onSolver {
+				for i, j := range running {
+					infos[i] = j.info
+				}
+				st.beginState(sv, groups, infos)
+			}
 			for i, j := range running {
 				if delta[i] == 0 {
 					dists[i] = TaskTimeDist{}
@@ -469,7 +483,7 @@ func (e *Estimator) run(s *Scratch, w *dag.Workflow, remaining int) (*Plan, erro
 				}
 				var d TaskTimeDist
 				if onSolver {
-					d = st.taskDistOn(sv, j.id, groups, i)
+					d = st.taskDistIn(sv, j.id, groups, i)
 				} else {
 					d = e.Timer.TaskDist(j.id, groups, i)
 				}
@@ -484,6 +498,11 @@ func (e *Estimator) run(s *Scratch, w *dag.Workflow, remaining int) (*Plan, erro
 				solves++
 				if cacheable {
 					s.dc.put(keys[i], d)
+				}
+			}
+			if onSolver {
+				for i, j := range running {
+					j.info = infos[i]
 				}
 			}
 		}
@@ -706,6 +725,7 @@ func (e *Estimator) openStage(j *estJob, st workload.Stage, now float64) {
 	j.lastDelta = 0
 	j.busy = [cluster.NumResources]float64{}
 	j.lastBottleneck = cluster.CPU
+	j.info = nil
 
 	j.se[st] = StageEstimate{Job: j.id, Stage: st, Start: units.Seconds(now)}
 	j.seen[st] = true

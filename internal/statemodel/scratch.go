@@ -23,9 +23,12 @@ import (
 //
 // Estimate and EstimateRemaining draw Scratches from an internal
 // sync.Pool, which covers evalpool workers, tuning sweeps, /v1/batch
-// fan-out and explain θ-sensitivity automatically. Callers that want
-// deterministic cross-call reuse (progress indicators ticking the same
-// workflow) hold their own via NewScratch and the *With variants.
+// fan-out and explain θ-sensitivity automatically. A pooled scratch
+// keeps its buffers across calls but empties its dist cache at the start
+// of each run: the next run is usually another workflow, whose states
+// could never hit the entries. Callers that want cross-call reuse of
+// solved states (progress indicators ticking the same workflow) hold
+// their own via NewScratch and the *With variants.
 type Scratch struct {
 	slab    []estJob
 	jobs    map[string]*estJob
@@ -38,6 +41,7 @@ type Scratch struct {
 
 	reqs   []sched.Request
 	groups []boe.TaskGroup
+	infos  []*boe.StageInfo
 	delta  []int
 	dists  []TaskTimeDist
 	rates  []float64
@@ -61,6 +65,14 @@ func NewScratch() *Scratch {
 
 var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 
+// pooledScratch takes a scratch from the pool for one run, its dist
+// cache emptied (its buckets kept).
+func pooledScratch() *Scratch {
+	s := scratchPool.Get().(*Scratch)
+	clear(s.dc.m)
+	return s
+}
+
 // reset prepares the scratch for a run over n jobs. Buffers are
 // re-sliced, not freed; the dist cache deliberately survives — carrying
 // solved task-time distributions across calls is what makes re-estimates
@@ -77,6 +89,7 @@ func (s *Scratch) reset(n int) {
 	if cap(s.reqs) < n {
 		s.reqs = make([]sched.Request, 0, n)
 		s.groups = make([]boe.TaskGroup, 0, n)
+		s.infos = make([]*boe.StageInfo, 0, n)
 		s.delta = make([]int, 0, n)
 		s.dists = make([]TaskTimeDist, 0, n)
 		s.rates = make([]float64, 0, n)

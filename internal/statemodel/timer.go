@@ -142,9 +142,13 @@ type BOETimer struct {
 
 // solverTimer is a TaskTimer that can make its BOE solves on a solver
 // the estimator holds for the whole run, so the run's fair-share memo
-// and waterfill counts cover them. The answer is TaskDist's.
+// and waterfill counts cover them. The estimator hands it each state's
+// groups once (beginState, with the jobs' resolved stages, see
+// boe.Model.BeginState); taskDistIn then answers TaskDist for one group
+// of that state.
 type solverTimer interface {
-	taskDistOn(sv *boe.Solver, jobID string, groups []boe.TaskGroup, self int) TaskTimeDist
+	beginState(sv *boe.Solver, groups []boe.TaskGroup, infos []*boe.StageInfo)
+	taskDistIn(sv *boe.Solver, jobID string, groups []boe.TaskGroup, self int) TaskTimeDist
 }
 
 // TaskDist implements TaskTimer.
@@ -152,8 +156,12 @@ func (t *BOETimer) TaskDist(jobID string, groups []boe.TaskGroup, self int) Task
 	return t.dist(groups[self], t.Model.TaskTimeAt(groups, self))
 }
 
-func (t *BOETimer) taskDistOn(sv *boe.Solver, jobID string, groups []boe.TaskGroup, self int) TaskTimeDist {
-	return t.dist(groups[self], t.Model.TaskTimeAtOn(sv, groups, self))
+func (t *BOETimer) beginState(sv *boe.Solver, groups []boe.TaskGroup, infos []*boe.StageInfo) {
+	t.Model.BeginState(sv, groups, infos)
+}
+
+func (t *BOETimer) taskDistIn(sv *boe.Solver, jobID string, groups []boe.TaskGroup, self int) TaskTimeDist {
+	return t.dist(groups[self], t.Model.TaskTimeInState(sv, self))
 }
 
 // dist turns group g's BOE task estimate into its task-time distribution.
@@ -237,12 +245,21 @@ type ProfileTimer struct {
 
 // TaskDist implements TaskTimer.
 func (t *ProfileTimer) TaskDist(jobID string, groups []boe.TaskGroup, self int) TaskTimeDist {
-	return t.taskDistOn(nil, jobID, groups, self)
+	return t.taskDistIn(nil, jobID, groups, self)
 }
 
-// taskDistOn lets a Fallback that can solve on the run's solver do so;
-// with a nil solver every fallback solves on its own.
-func (t *ProfileTimer) taskDistOn(sv *boe.Solver, jobID string, groups []boe.TaskGroup, self int) TaskTimeDist {
+// beginState hands the state to a Fallback that can solve on the run's
+// solver.
+func (t *ProfileTimer) beginState(sv *boe.Solver, groups []boe.TaskGroup, infos []*boe.StageInfo) {
+	if st, ok := t.Fallback.(solverTimer); ok {
+		st.beginState(sv, groups, infos)
+	}
+}
+
+// taskDistIn lets a Fallback that can solve on the run's solver do so,
+// in the state begun on it; with a nil solver every fallback solves on
+// its own.
+func (t *ProfileTimer) taskDistIn(sv *boe.Solver, jobID string, groups []boe.TaskGroup, self int) TaskTimeDist {
 	g := groups[self]
 	if p, ok := t.Profiles.Stage(jobID, g.Stage); ok && len(p.TaskTimes) > 0 {
 		return TaskTimeDist{
@@ -253,7 +270,7 @@ func (t *ProfileTimer) taskDistOn(sv *boe.Solver, jobID string, groups []boe.Tas
 		}
 	}
 	if st, ok := t.Fallback.(solverTimer); ok && sv != nil {
-		return st.taskDistOn(sv, jobID, groups, self)
+		return st.taskDistIn(sv, jobID, groups, self)
 	}
 	if t.Fallback != nil {
 		return t.Fallback.TaskDist(jobID, groups, self)

@@ -35,7 +35,7 @@ type Model struct {
 	EqualSplit bool
 
 	// stages memoizes the pure (profile, stage) → sub-stage derivation;
-	// see Stage.
+	// see stageOf.
 	mu     sync.RWMutex
 	stages map[stageKey]*StageInfo
 }
@@ -137,7 +137,8 @@ type stageKey struct {
 // StageInfo is one resolved (profile, stage) derivation: the stage's
 // sub-stage list and their aggregate steady-state demand. It is
 // immutable, so a caller that solves the same job stage in many states
-// resolves it once (Stage) and hands it to every BeginState.
+// keeps the one a state's solve resolved (see BeginState) and hands it
+// to every later state.
 type StageInfo struct {
 	subs []workload.SubStage
 	agg  workload.SubStage
@@ -161,11 +162,11 @@ func (si *StageInfo) view(sub int) workload.SubStage {
 // cache clears wholesale at the cap instead of growing without bound.
 const stageCacheMax = 1 << 12
 
-// Stage memoizes p.SubStages(s, m.Spec) and its aggregate. Both are
+// stageOf memoizes p.SubStages(s, m.Spec) and its aggregate. Both are
 // pure functions of the key and the model's spec (fixed after
 // construction), so a hit returns the identical value a fresh
 // derivation would.
-func (m *Model) Stage(p workload.JobProfile, s workload.Stage) *StageInfo {
+func (m *Model) stageOf(p workload.JobProfile, s workload.Stage) *StageInfo {
 	k := stageKey{p, s}
 	m.mu.RLock()
 	si := m.stages[k]
@@ -251,7 +252,7 @@ func (m *Model) buildRows(sv *Solver) {
 	for i, g := range sv.state {
 		si := sv.infos[i]
 		if si == nil {
-			si = m.Stage(g.Profile, g.Stage)
+			si = m.stageOf(g.Profile, g.Stage)
 			sv.infos[i] = si
 		}
 		sv.rows = append(sv.rows, fairshare.TaskConsumer(m.Spec.Node, si.view(g.SubStage).Ops, g.Parallelism))

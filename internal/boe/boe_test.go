@@ -356,55 +356,70 @@ func TestTaskTimeAtIsLean(t *testing.T) {
 // seeded random group sets with aggregate, in-range and done sub-stages,
 // compressed and replicated profiles, and duplicate groups.
 func TestStatePathMatchesTaskTimeAtOn(t *testing.T) {
-	m := New(cluster.PaperCluster())
-	r := rand.New(rand.NewSource(3))
+	for seed := int64(0); seed < 300; seed++ {
+		checkStatePath(t, seed)
+	}
+}
+
+// FuzzStatePathMatchesTaskTimeAtOn runs the state-path comparison on
+// the random state a seed generates.
+func FuzzStatePathMatchesTaskTimeAtOn(f *testing.F) {
+	for seed := int64(0); seed < 16; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(checkStatePath)
+}
+
+var stateModel = New(cluster.PaperCluster())
+
+// checkStatePath generates the random state of one seed and holds the
+// state path to TaskTimeAtOn and to directly built rows on it.
+func checkStatePath(t *testing.T, seed int64) {
+	m, r := stateModel, rand.New(rand.NewSource(seed))
 	profiles := []workload.JobProfile{
 		workload.WordCount(10 * units.GB), workload.WordCount(40 * units.GB),
 		workload.TeraSort(20 * units.GB), workload.TeraSortCompressed(8 * units.GB),
 		workload.TeraSort3R(5 * units.GB),
 	}
+	groups := make([]TaskGroup, 1+r.Intn(12))
+	for i := range groups {
+		if i > 0 && r.Intn(4) == 0 {
+			groups[i] = groups[r.Intn(i)]
+			continue
+		}
+		g := TaskGroup{
+			Profile:     profiles[r.Intn(len(profiles))],
+			Stage:       workload.Stage(r.Intn(2)),
+			SubStage:    AggregateSubStage,
+			Parallelism: 1 + r.Intn(66),
+		}
+		if r.Intn(3) == 0 {
+			g.SubStage = r.Intn(6) - 1 // in range, or done past the end
+		}
+		groups[i] = g
+	}
+	infos := make([]*StageInfo, len(groups))
+	for i := range infos {
+		if r.Intn(2) == 0 {
+			infos[i] = m.stageOf(groups[i].Profile, groups[i].Stage)
+		}
+	}
 	sv, alone := GetSolver(), GetSolver()
 	defer PutSolver(sv)
 	defer PutSolver(alone)
-	for trial := 0; trial < 300; trial++ {
-		groups := make([]TaskGroup, 1+r.Intn(12))
-		for i := range groups {
-			if i > 0 && r.Intn(4) == 0 {
-				groups[i] = groups[r.Intn(i)]
-				continue
-			}
-			g := TaskGroup{
-				Profile:     profiles[r.Intn(len(profiles))],
-				Stage:       workload.Stage(r.Intn(2)),
-				SubStage:    AggregateSubStage,
-				Parallelism: 1 + r.Intn(66),
-			}
-			if r.Intn(3) == 0 {
-				g.SubStage = r.Intn(6) - 1 // in range, or done past the end
-			}
-			groups[i] = g
+	m.BeginState(sv, groups, infos)
+	for _, self := range r.Perm(len(groups)) {
+		got := m.TaskTimeInState(sv, self)
+		if want := m.TaskTimeAtOn(alone, groups, self); !sameEstimate(got, want) {
+			t.Fatalf("seed %d self %d: state path %+v, TaskTimeAtOn %+v", seed, self, got, want)
 		}
-		infos := make([]*StageInfo, len(groups))
-		for i := range infos {
-			if r.Intn(2) == 0 {
-				infos[i] = m.Stage(groups[i].Profile, groups[i].Stage)
-			}
+		if ref := directTaskTime(m, groups, self); !sameEstimate(got, ref) {
+			t.Fatalf("seed %d self %d: state path %+v, direct rows %+v", seed, self, got, ref)
 		}
-		m.BeginState(sv, groups, infos)
-		for _, self := range r.Perm(len(groups)) {
-			got := m.TaskTimeInState(sv, self)
-			want := m.TaskTimeAtOn(alone, groups, self)
-			if !sameEstimate(got, want) {
-				t.Fatalf("trial %d self %d: state path %+v, TaskTimeAtOn %+v", trial, self, got, want)
-			}
-			if ref := directTaskTime(m, groups, self); !sameEstimate(got, ref) {
-				t.Fatalf("trial %d self %d: state path %+v, direct rows %+v", trial, self, got, ref)
-			}
-		}
-		for i, si := range infos {
-			if si != m.Stage(groups[i].Profile, groups[i].Stage) {
-				t.Fatalf("trial %d: group %d's stage was not resolved into infos", trial, i)
-			}
+	}
+	for i, si := range infos {
+		if si != m.stageOf(groups[i].Profile, groups[i].Stage) {
+			t.Fatalf("seed %d: group %d's stage was not resolved into infos", seed, i)
 		}
 	}
 }

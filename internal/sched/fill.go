@@ -204,8 +204,9 @@ const levelMax = 1 << 31
 // with a key below v is dropped for lack of pool room before it is done;
 // pending and caps are counted into each job's limit. The heap then
 // finishes from the state the prefix leaves, which is where the plain
-// fill stands after the same grants. When no level helps (or the inputs
-// leave the range the count is exact on) it grants nothing.
+// fill stands after the same grants. When no level helps (no more free
+// slots than jobs, or inputs outside the range the count is exact on) it
+// grants nothing.
 func (f *flatFill) levelGrant() {
 	pool := f.pool
 	limited := [3]bool{pool.MemoryMB > 0, pool.VCores > 0, pool.Slots > 0}
@@ -215,6 +216,9 @@ func (f *flatFill) levelGrant() {
 		if limited[j] && (free[j] < 0 || dims[j] > levelMax) {
 			return
 		}
+	}
+	if limited[2] && free[2] <= len(f.order) {
+		return // at most one free slot a job: the heap's tail is all there is
 	}
 	for k, i := range f.order {
 		r, h := f.reqs[i], f.held[k]
@@ -346,7 +350,7 @@ func (f *flatFill) fluidLevel(free [3]int, limited [3]bool) float64 {
 			}
 		}
 		switch {
-		case !(step > 0): // converged, or over the pool already
+		case !(step > v*1e-12): // converged, or over the pool already
 			return v
 		case v+step > next:
 			v = next

@@ -10,8 +10,9 @@
 #   sweep, node-aware simulation, a 10k-job estimate), the micro-benchmark
 #   regression gate (repeated go-bench samples against
 #   hack/bench_baseline.txt, with a self-check that an injected 1.3x
-#   slowdown fails), the instrumentation-overhead guard (disabled-path
-#   observability must stay within 5% of an uninstrumented run), the
+#   slowdown fails), the instrumentation-overhead guard
+#   (hack/overhead_guard.sh: disabled-path observability must stay
+#   within 5% of an instrumented run, on the median of paired ratios), the
 #   OTLP export shape check, and the explainability smoke (explain suite
 #   under -race, /v1/explain conformance, Prometheus exposition golden).
 #
@@ -97,8 +98,10 @@ coverage_gate() {
 # plus a few seconds of mutation must finish without a crasher (the
 # never-panic contracts of the trace parser and the serve request
 # decoder, the agreement of the fleet's shard key with the serve
-# handler's answer, the heap fills' agreement with the scan oracles, and
-# the fair-share solver's agreement with its reference solve).
+# handler's answer, the heap fills' agreement with the scan oracles, the
+# fair-share solver's agreement with its reference solve, the BOE state
+# path's agreement with one solve at a time, and the one-pass estimate
+# encoder's agreement with encoding/json).
 fuzz_smoke() {
     echo "== trace parser fuzz smoke =="
     go test ./internal/calibrate -run '^$' \
@@ -118,6 +121,12 @@ fuzz_smoke() {
     echo "== heap fill vs scan oracle fuzz smoke =="
     go test ./internal/sched -run '^$' \
         -fuzz '^FuzzDRFMatchesScan$' -fuzztime "${FUZZTIME:-5s}"
+    echo "== BOE state path vs per-solve path fuzz smoke =="
+    go test ./internal/boe -run '^$' \
+        -fuzz '^FuzzStatePathMatchesTaskTimeAtOn$' -fuzztime "${FUZZTIME:-5s}"
+    echo "== estimate encoder vs MarshalIndent fuzz smoke =="
+    go test ./internal/serve -run '^$' \
+        -fuzz '^FuzzEncodeEstimateMatchesMarshalIndent$' -fuzztime "${FUZZTIME:-5s}"
     echo "== fair-share solver vs reference fuzz smoke =="
     go test ./internal/fairshare -run '^$' \
         -fuzz '^FuzzAllocateMatchesReference$' -fuzztime "${FUZZTIME:-5s}"
@@ -251,43 +260,6 @@ otlp_check
 regression_gate
 
 echo "== instrumentation overhead guard =="
-# The observability layer must be ~free when disabled: the disabled-path
-# benchmark has to land within 5% of the fully instrumented one (and the
-# enabled path itself is required to be cheap relative to simulation
-# work, so the two bracket the uninstrumented baseline). The samples are
-# paired and interleaved: five rounds of one 40-iteration sample per
-# side, alternating which side runs first, so drift of the machine's
-# speed over the run reaches both sides alike. Each side keeps its best
-# sample to suppress scheduler noise.
-guard_bin=$(mktemp -d)
-go test -c -o "$guard_bin/simulator.test" ./internal/simulator
-sample() {
-    (cd internal/simulator && "$guard_bin/simulator.test" -test.run '^$' \
-        -test.bench "BenchmarkSimulatorInstrumentation$1\$" \
-        -test.benchtime "${BENCHTIME:-40x}" -test.count 1) | awk '/^Benchmark/ {print $3}'
-}
-off="" on=""
-for round in 1 2 3 4 5; do
-    order="Off On"
-    (( round % 2 )) || order="On Off"
-    for side in $order; do
-        ns=$(sample "$side")
-        if [[ $side == Off ]]; then
-            off=$(awk -v a="$off" -v b="$ns" 'BEGIN {print (a == "" || b < a) ? b : a}')
-        else
-            on=$(awk -v a="$on" -v b="$ns" 'BEGIN {print (a == "" || b < a) ? b : a}')
-        fi
-    done
-done
-rm -rf "$guard_bin"
-echo "  disabled: ${off} ns/op    enabled: ${on} ns/op"
-# If the disabled path runs >5% slower than the enabled one, someone put
-# work outside an enabled-check and the zero-cost contract is broken.
-awk -v off="$off" -v on="$on" 'BEGIN {
-    if (off > on * 1.05) {
-        printf "FAIL: disabled-path instrumentation overhead: %s ns/op vs %s ns/op enabled\n", off, on
-        exit 1
-    }
-}'
+hack/overhead_guard.sh
 
 echo "verify OK"

@@ -2,7 +2,9 @@ package simulator
 
 import (
 	"runtime/debug"
+	"sort"
 	"testing"
+	"time"
 
 	"boedag/internal/cluster"
 	"boedag/internal/dag"
@@ -167,4 +169,43 @@ func BenchmarkSimulatorInstrumentationOn(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSimulatorInstrumentationRatio is what hack/overhead_guard.sh
+// judges: each iteration runs the workflow once with observability off
+// and once fully instrumented, back to back and alternating which runs
+// first, and the benchmark reports the median of the iterations'
+// disabled/enabled time ratios as "off/on". Pairing single runs lets
+// drift in the machine's speed reach both halves of a pair alike, and
+// the median ignores the pairs a burst of load from elsewhere splits.
+// The workflow is obsFlow's at 1 GB per job (about 18 ms a run instead
+// of 36 ms), so a fixed cost on the disabled path weighs twice as much
+// against the 5% bound.
+func BenchmarkSimulatorInstrumentationRatio(b *testing.B) {
+	spec := cluster.PaperCluster()
+	flow := dag.Parallel("obs-guard",
+		dag.Single(workload.WordCount(units.GB)),
+		dag.Single(workload.TeraSort(units.GB)))
+	run := func(o obs.Options) time.Duration {
+		start := time.Now()
+		if _, err := New(spec, Options{Seed: 1, Observe: o}).Run(flow); err != nil {
+			b.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	on := func() time.Duration {
+		return run(obs.Options{Tracer: obs.NewRecorder(), Metrics: obs.NewRegistry()})
+	}
+	ratios := make([]float64, b.N)
+	for i := range ratios {
+		var off, with time.Duration
+		if i%2 == 0 {
+			off, with = run(obs.Options{}), on()
+		} else {
+			with, off = on(), run(obs.Options{})
+		}
+		ratios[i] = float64(off) / float64(with)
+	}
+	sort.Float64s(ratios)
+	b.ReportMetric(ratios[len(ratios)/2], "off/on")
 }

@@ -52,42 +52,41 @@ func (e *estimateEncoder) response(r *EstimateResponse) {
 	e.b = append(e.b, ",\n  \"makespan_s\": "...)
 	e.float(r.MakespanS)
 	e.b = append(e.b, ",\n  \"stages\": "...)
-	switch {
-	case r.Stages == nil:
-		e.b = append(e.b, "null"...)
-	case len(r.Stages) == 0:
-		e.b = append(e.b, "[]"...)
-	default:
-		e.b = append(e.b, '[')
-		for i := range r.Stages {
-			if i > 0 {
-				e.b = append(e.b, ',')
-			}
-			e.stage(&r.Stages[i])
-		}
-		e.b = append(e.b, "\n  ]"...)
-	}
+	e.seq(r.Stages == nil, len(r.Stages), '[', ']', "  ", func(i int) { e.stage(&r.Stages[i]) })
 	e.b = append(e.b, ",\n  \"states\": "...)
-	switch {
-	case r.States == nil:
-		e.b = append(e.b, "null"...)
-	case len(r.States) == 0:
-		e.b = append(e.b, "[]"...)
-	default:
-		e.b = append(e.b, '[')
-		for i := range r.States {
-			if i > 0 {
-				e.b = append(e.b, ',')
-			}
-			e.state(&r.States[i])
-		}
-		e.b = append(e.b, "\n  ]"...)
-	}
+	e.seq(r.States == nil, len(r.States), '[', ']', "  ", func(i int) { e.state(&r.States[i]) })
 	e.b = append(e.b, "\n}\n"...)
 }
 
+// seq appends an array or object of n elements the way MarshalIndent
+// writes one whose line is indented by indent: null when nil, bare
+// brackets when empty, else each element, written by elem, on a line of
+// its own one level deeper.
+func (e *estimateEncoder) seq(isNil bool, n int, open, close byte, indent string, elem func(i int)) {
+	switch {
+	case isNil:
+		e.b = append(e.b, "null"...)
+	case n == 0:
+		e.b = append(e.b, open, close)
+	default:
+		e.b = append(e.b, open)
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				e.b = append(e.b, ',')
+			}
+			e.b = append(e.b, '\n')
+			e.b = append(e.b, indent...)
+			e.b = append(e.b, "  "...)
+			elem(i)
+		}
+		e.b = append(e.b, '\n')
+		e.b = append(e.b, indent...)
+		e.b = append(e.b, close)
+	}
+}
+
 func (e *estimateEncoder) stage(s *StageBody) {
-	e.b = append(e.b, "\n    {\n      \"job\": "...)
+	e.b = append(e.b, "{\n      \"job\": "...)
 	e.str(s.Job)
 	e.b = append(e.b, ",\n      \"stage\": "...)
 	e.str(s.Stage)
@@ -105,53 +104,25 @@ func (e *estimateEncoder) stage(s *StageBody) {
 }
 
 func (e *estimateEncoder) state(s *StateBody) {
-	e.b = append(e.b, "\n    {\n      \"seq\": "...)
+	e.b = append(e.b, "{\n      \"seq\": "...)
 	e.b = strconv.AppendInt(e.b, int64(s.Seq), 10)
 	e.b = append(e.b, ",\n      \"start_s\": "...)
 	e.float(s.StartS)
 	e.b = append(e.b, ",\n      \"end_s\": "...)
 	e.float(s.EndS)
 	e.b = append(e.b, ",\n      \"running\": "...)
-	switch {
-	case s.Running == nil:
-		e.b = append(e.b, "null"...)
-	case len(s.Running) == 0:
-		e.b = append(e.b, "[]"...)
-	default:
-		e.b = append(e.b, '[')
-		for i, r := range s.Running {
-			if i > 0 {
-				e.b = append(e.b, ',')
-			}
-			e.b = append(e.b, "\n        "...)
-			e.str(r)
-		}
-		e.b = append(e.b, "\n      ]"...)
-	}
+	e.seq(s.Running == nil, len(s.Running), '[', ']', "      ", func(i int) { e.str(s.Running[i]) })
 	e.b = append(e.b, ",\n      \"parallelism\": "...)
-	switch {
-	case s.Parallelism == nil:
-		e.b = append(e.b, "null"...)
-	case len(s.Parallelism) == 0:
-		e.b = append(e.b, "{}"...)
-	default:
-		e.keys = e.keys[:0]
-		for k := range s.Parallelism {
-			e.keys = append(e.keys, k)
-		}
-		sort.Strings(e.keys)
-		e.b = append(e.b, '{')
-		for i, k := range e.keys {
-			if i > 0 {
-				e.b = append(e.b, ',')
-			}
-			e.b = append(e.b, "\n        "...)
-			e.str(k)
-			e.b = append(e.b, ": "...)
-			e.b = strconv.AppendInt(e.b, int64(s.Parallelism[k]), 10)
-		}
-		e.b = append(e.b, "\n      }"...)
+	e.keys = e.keys[:0]
+	for k := range s.Parallelism {
+		e.keys = append(e.keys, k)
 	}
+	sort.Strings(e.keys)
+	e.seq(s.Parallelism == nil, len(e.keys), '{', '}', "      ", func(i int) {
+		e.str(e.keys[i])
+		e.b = append(e.b, ": "...)
+		e.b = strconv.AppendInt(e.b, int64(s.Parallelism[e.keys[i]]), 10)
+	})
 	e.b = append(e.b, "\n    }"...)
 }
 

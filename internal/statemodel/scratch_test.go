@@ -106,3 +106,22 @@ func TestScratchResetPreservesDistCache(t *testing.T) {
 		t.Error("reset dropped the dist cache")
 	}
 }
+
+// TestPooledRunKeepsDistCacheOnlyForSameEstimate: a pooled scratch
+// keeps its solved states for a repeat of its last estimate and starts
+// empty for another workflow or another estimator.
+func TestPooledRunKeepsDistCacheOnlyForSameEstimate(t *testing.T) {
+	e, other := New(spec(), boeTimer(), Options{}), New(spec(), boeTimer(), Options{})
+	a, b := benchFlow(), benchFlow()
+	key := distKey{self: 42}
+	for _, next := range []runOf{{other, a}, {e, b}} {
+		s := NewScratch().pooledRun(runOf{e, a})
+		s.dc.put(key, TaskTimeDist{Mean: time.Second})
+		if _, ok := s.pooledRun(runOf{e, a}).dc.get(key); !ok {
+			t.Fatal("repeating the same estimate dropped the dist cache")
+		}
+		if n := len(s.pooledRun(next).dc.m); n != 0 {
+			t.Errorf("a different estimate kept %d dist-cache entries", n)
+		}
+	}
+}

@@ -194,8 +194,7 @@ const levelMax = 1 << 31
 
 // levelGrant makes the leading grants of a DRF fill in one pass, before
 // the heap takes over: every container whose DRF key is strictly below
-// a level v, where v is the highest level at which all those grants fit
-// the pool, counted exactly.
+// a level v at which all those grants fit the pool, counted exactly.
 //
 // This is exact by construction. The fill pops keys in non-decreasing
 // order (a granted job's key only grows, others' keys do not move), so
@@ -204,9 +203,13 @@ const levelMax = 1 << 31
 // with a key below v is dropped for lack of pool room before it is done;
 // pending and caps are counted into each job's limit. The heap then
 // finishes from the state the prefix leaves, which is where the plain
-// fill stands after the same grants. When no level helps (no more free
-// slots than jobs, or inputs outside the range the count is exact on) it
-// grants nothing.
+// fill stands after the same grants.
+//
+// Whether the grants below v fit only turns from true to false as v
+// rises, so v is found by bisection, stopping once at most one grant a
+// job separates a level that fits from one that does not. When no level
+// helps (no more free slots than jobs, or inputs outside the range the
+// count is exact on) it grants nothing.
 func (f *flatFill) levelGrant() {
 	pool := f.pool
 	limited := [3]bool{pool.MemoryMB > 0, pool.VCores > 0, pool.Slots > 0}
@@ -227,41 +230,56 @@ func (f *flatFill) levelGrant() {
 			return
 		}
 	}
-	v := f.fluidLevel(free, limited)
-	g := f.grant // all zero: the counts below v, applied only if they fit
-	for try := 0; try < 8; try++ {
-		var use [3]int
-		fit := true
-		for k, i := range f.order {
-			r := f.reqs[i]
-			g[k] = f.countBelow(k, v)
-			use[0] += g[k] * r.MemoryMB
-			use[1] += g[k] * r.VCores
-			use[2] += g[k]
-			for j := range use {
-				fit = fit && (!limited[j] || use[j] <= free[j])
-			}
-		}
-		if fit {
-			f.mem += use[0]
-			f.cpu += use[1]
-			f.slots += use[2]
-			return
-		}
-		// Lower the level to the highest key granted, dropping every
-		// grant at that key.
-		top := math.Inf(-1)
-		for k := range f.order {
-			if g[k] > 0 {
-				top = math.Max(top, dominantShare(pool, f.reqs[f.order[k]], f.held[k]+g[k]-1))
-			}
-		}
-		if math.IsInf(top, -1) {
-			break
-		}
-		v = top
+	// Nothing is keyed below the lowest current key; everything is below
+	// +Inf.
+	lo, hi := 0.0, math.Inf(1)
+	for k, i := range f.order {
+		lo = math.Min(lo, dominantShare(pool, f.reqs[i], f.held[k]))
 	}
-	clear(g)
+	low, high, fit := 0, 0, false
+	if high, fit = f.grantBelow(hi, free, limited); !fit {
+		hi = 0 // the highest key after every grant: as binding as +Inf
+		for k, i := range f.order {
+			hi = math.Max(hi, dominantShare(pool, f.reqs[i], f.held[k]+f.limit(k)))
+		}
+		for it := 0; it < 64 && high-low > len(f.order); it++ {
+			mid := lo + (hi-lo)/2
+			if !(lo < mid && mid < hi) {
+				break
+			}
+			if n, ok := f.grantBelow(mid, free, limited); ok {
+				lo, low = mid, n
+			} else {
+				hi, high = mid, n
+			}
+		}
+		f.grantBelow(lo, free, limited)
+	}
+	for k, i := range f.order {
+		r := f.reqs[i]
+		f.mem += f.grant[k] * r.MemoryMB
+		f.cpu += f.grant[k] * r.VCores
+		f.slots += f.grant[k]
+	}
+}
+
+// grantBelow sets each rank's grants to its count keyed below v and
+// reports their total and whether they all fit the free pool.
+func (f *flatFill) grantBelow(v float64, free [3]int, limited [3]bool) (int, bool) {
+	var use [3]int
+	for k, i := range f.order {
+		r, g := f.reqs[i], f.countBelow(k, v)
+		f.grant[k] = g
+		use[0] += g * r.MemoryMB
+		use[1] += g * r.VCores
+		use[2] += g
+	}
+	for j := range use {
+		if limited[j] && use[j] > free[j] {
+			return use[2], false
+		}
+	}
+	return use[2], true
 }
 
 // limit is how many containers rank k can be granted in this fill by
@@ -280,8 +298,8 @@ func (f *flatFill) limit(k int) int {
 
 // countBelow counts rank k's grants keyed below v: the containers
 // i < limit(k) whose key, the dominant share at held+i, is below v. The
-// key grows with the count, so the fluid guess ⌈v/d⌉ is corrected
-// against the exact keys.
+// key grows with the count, so the guess ⌈v/d⌉ is corrected against the
+// exact keys.
 func (f *flatFill) countBelow(k int, v float64) int {
 	r, h, lim := f.reqs[f.order[k]], f.held[k], f.limit(k)
 	d := dominantShare(f.pool, r, 1)
@@ -305,60 +323,4 @@ func (f *flatFill) countBelow(k int, v float64) int {
 		n++
 	}
 	return n
-}
-
-// fluidLevel solves the fill's fluid relaxation: the highest level v at
-// which every job holds v/d containers (its dominant share per container
-// d; at least its holdings, at most holdings plus its limit) within the
-// free pool. It steps along the usage curve by its slope, stopping at
-// each level where another job's holdings come under the level, so it
-// never overshoots; saturating jobs only flatten the curve. It returns
-// +Inf when no pool dimension binds.
-func (f *flatFill) fluidLevel(free [3]int, limited [3]bool) float64 {
-	v := 0.0
-	for it := 0; it <= 2*len(f.order)+1; it++ {
-		var use, slope [3]float64
-		next := math.Inf(1)
-		for k, i := range f.order {
-			r := f.reqs[i]
-			lim := float64(f.limit(k))
-			shape := [3]float64{float64(r.MemoryMB), float64(r.VCores), 1}
-			d := dominantShare(f.pool, r, 1)
-			x := lim
-			if d > 0 {
-				x = v/d - float64(f.held[k])
-				switch {
-				case x < 0:
-					next = math.Min(next, float64(f.held[k])*d)
-					x = 0
-				case x >= lim:
-					x = lim
-				default:
-					for j := range slope {
-						slope[j] += shape[j] / d
-					}
-				}
-			}
-			for j := range use {
-				use[j] += shape[j] * x
-			}
-		}
-		step := math.Inf(1)
-		for j := range use {
-			if limited[j] && slope[j] > 0 {
-				step = math.Min(step, (float64(free[j])-use[j])/slope[j])
-			}
-		}
-		switch {
-		case !(step > v*1e-12): // converged, or over the pool already
-			return v
-		case v+step > next:
-			v = next
-		case math.IsInf(step, 1):
-			return step
-		default:
-			v += step
-		}
-	}
-	return v
 }

@@ -207,12 +207,10 @@ const (
 // the remaining time of each job's current stage, then advance to the
 // nearest stage transition and update everyone's progress.
 //
-// Scratch memory comes from an internal pool, whose dist cache carries
-// over only from a pooled run of e over the same w (see pooledScratch); use
-// EstimateWith to pin a caller-owned Scratch (deterministic warm-cache
-// reuse across calls).
+// Scratch memory comes from an internal pool; use EstimateWith to pin a
+// caller-owned Scratch (deterministic warm-cache reuse across calls).
 func (e *Estimator) Estimate(w *dag.Workflow) (*Plan, error) {
-	s := pooledScratch(e, w)
+	s := scratchPool.Get().(*Scratch)
 	defer scratchPool.Put(s)
 	return e.EstimateWith(s, w)
 }

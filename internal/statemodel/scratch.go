@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"boedag/internal/boe"
-	"boedag/internal/dag"
 	"boedag/internal/sched"
 	"boedag/internal/workload"
 )
@@ -25,12 +24,13 @@ import (
 // Estimate and EstimateRemaining draw Scratches from an internal
 // sync.Pool, which covers evalpool workers, tuning sweeps, /v1/batch
 // fan-out and explain θ-sensitivity automatically. A pooled scratch
-// keeps its buffers across calls, but its dist cache is emptied unless
-// a run repeats its last pooled run's estimator and workflow (see
-// pooledScratch), and the pool may hand out any scratch.
-// Callers that want cross-call reuse of solved states (progress
+// keeps its buffers and its dist cache, but the pool may hand a call any
+// scratch, so whether a call finds another's solved states is up to the
+// pool. Callers that want deterministic cross-call reuse (progress
 // indicators ticking the same workflow) hold their own via NewScratch
-// and the *With variants.
+// and the *With variants; callers whose runs share no states (a daemon
+// answering distinct workflows) hold their own and empty its cache with
+// ClearDistCache.
 type Scratch struct {
 	slab    []estJob
 	jobs    map[string]*estJob
@@ -57,15 +57,6 @@ type Scratch struct {
 	tasks []time.Duration
 
 	dc distCache
-	// pooledFor is the estimate of the scratch's last pooled run (see
-	// pooledScratch).
-	pooledFor runOf
-}
-
-// runOf names an estimate: an estimator over a workflow.
-type runOf struct {
-	e *Estimator
-	w *dag.Workflow
 }
 
 // NewScratch returns an empty scratch arena. The zero cost of the first
@@ -76,26 +67,10 @@ func NewScratch() *Scratch {
 
 var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 
-// pooledScratch takes a scratch from the pool for a run of e over w.
-// Its dist cache is emptied (its buckets kept) unless the scratch's
-// last pooled run was the same estimate: a daemon's next request is
-// almost always another workflow, and explain's θ-sensitivity
-// re-estimates one workflow under perturbed estimators whose keys
-// differ, so neither could hit the entries, while a caller repeating
-// one estimate keeps its hits. The answer is the same either way; only
-// the work differs.
-func pooledScratch(e *Estimator, w *dag.Workflow) *Scratch {
-	return scratchPool.Get().(*Scratch).pooledRun(runOf{e, w})
-}
-
-// pooledRun readies s, taken from the pool, for run r.
-func (s *Scratch) pooledRun(r runOf) *Scratch {
-	if s.pooledFor != r {
-		clear(s.dc.m)
-		s.pooledFor = r
-	}
-	return s
-}
+// ClearDistCache empties the scratch's dist cache, keeping its buckets,
+// so the next run solves every state afresh. The answers do not change;
+// only the work and the memory the cache holds do.
+func (s *Scratch) ClearDistCache() { clear(s.dc.m) }
 
 // reset prepares the scratch for a run over n jobs. Buffers are
 // re-sliced, not freed; the dist cache deliberately survives — carrying

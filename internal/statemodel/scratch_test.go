@@ -1,6 +1,8 @@
 package statemodel
 
 import (
+	"bytes"
+	"encoding/json"
 	"math/rand"
 	"testing"
 	"time"
@@ -107,21 +109,28 @@ func TestScratchResetPreservesDistCache(t *testing.T) {
 	}
 }
 
-// TestPooledRunKeepsDistCacheOnlyForSameEstimate: a pooled scratch
-// keeps its solved states for a repeat of its last estimate and starts
-// empty for another workflow or another estimator.
-func TestPooledRunKeepsDistCacheOnlyForSameEstimate(t *testing.T) {
-	e, other := New(spec(), boeTimer(), Options{}), New(spec(), boeTimer(), Options{})
-	a, b := benchFlow(), benchFlow()
-	key := distKey{self: 42}
-	for _, next := range []runOf{{other, a}, {e, b}} {
-		s := NewScratch().pooledRun(runOf{e, a})
-		s.dc.put(key, TaskTimeDist{Mean: time.Second})
-		if _, ok := s.pooledRun(runOf{e, a}).dc.get(key); !ok {
-			t.Fatal("repeating the same estimate dropped the dist cache")
-		}
-		if n := len(s.pooledRun(next).dc.m); n != 0 {
-			t.Errorf("a different estimate kept %d dist-cache entries", n)
-		}
+// TestClearDistCacheKeepsAnswers: emptying a held scratch's dist cache
+// between runs drops every solved state and changes no answer.
+func TestClearDistCacheKeepsAnswers(t *testing.T) {
+	e, w, s := New(spec(), boeTimer(), Options{}), benchFlow(), NewScratch()
+	warm, err := e.EstimateWith(s, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.dc.m) == 0 {
+		t.Fatal("the run cached no solved states")
+	}
+	s.ClearDistCache()
+	if n := len(s.dc.m); n != 0 {
+		t.Fatalf("ClearDistCache left %d entries", n)
+	}
+	cold, err := e.EstimateWith(s, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := json.Marshal(warm)
+	b, _ := json.Marshal(cold)
+	if !bytes.Equal(a, b) {
+		t.Error("the plan after ClearDistCache differs")
 	}
 }

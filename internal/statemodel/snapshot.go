@@ -65,13 +65,13 @@ type Snapshot struct {
 // Estimate. In-flight tasks are assumed half done on average. The
 // returned plan's clock starts at zero = the snapshot instant.
 //
-// Scratch memory comes from an internal pool, whose dist cache carries
-// over only from a pooled run of e over the same w; progress indicators that tick the same workflow
-// should hold a Scratch of their own and call EstimateRemainingWith, so
-// consecutive ticks hit the same warm dist cache and re-solve only the
-// states the snapshot delta touched.
+// Scratch memory comes from an internal pool; progress indicators that
+// tick the same workflow should hold a Scratch of their own and call
+// EstimateRemainingWith, so consecutive ticks are guaranteed to hit the
+// same warm dist cache and re-solve only the states the snapshot delta
+// touched.
 func (e *Estimator) EstimateRemaining(w *dag.Workflow, snap Snapshot) (time.Duration, *Plan, error) {
-	s := pooledScratch(e, w)
+	s := scratchPool.Get().(*Scratch)
 	defer scratchPool.Put(s)
 	return e.EstimateRemainingWith(s, w, snap)
 }

@@ -137,40 +137,6 @@ func TestDisabledTracerAllocatesNothing(t *testing.T) {
 	}
 }
 
-// BenchmarkSimulatorInstrumentationOff measures the disabled-path cost of
-// the observability layer: it must stay within 5% of the seed simulator
-// (every emit site is one predictable branch; compare against
-// BenchmarkSimulatorInstrumentationOn for the enabled cost).
-func BenchmarkSimulatorInstrumentationOff(b *testing.B) {
-	spec := cluster.PaperCluster()
-	flow := obsFlow()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := New(spec, Options{Seed: 1}).Run(flow); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimulatorInstrumentationOn is the enabled-path counterpart:
-// full event recording plus metrics.
-func BenchmarkSimulatorInstrumentationOn(b *testing.B) {
-	spec := cluster.PaperCluster()
-	flow := obsFlow()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		opt := Options{Seed: 1, Observe: obs.Options{
-			Tracer:  obs.NewRecorder(),
-			Metrics: obs.NewRegistry(),
-		}}
-		if _, err := New(spec, opt).Run(flow); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSimulatorInstrumentationRatio is what hack/overhead_guard.sh
 // judges: each iteration runs the workflow once with observability off
 // and once fully instrumented, back to back and alternating which runs

@@ -6,10 +6,8 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
-	"boedag/internal/dag"
 	"boedag/internal/evalpool"
 	"boedag/internal/explain"
 	"boedag/internal/obs"
@@ -111,28 +109,13 @@ func (s *Server) scenarioCall(path string, req *EstimateRequest) (*call, *APIErr
 	}
 	c.est = est
 	c.compute = func(context.Context) (any, error) {
-		plan, err := estimate(est, flow)
+		plan, err := est.Estimate(flow)
 		if err != nil {
 			return nil, err
 		}
 		return buildEstimateResponse(plan), nil
 	}
 	return c, nil
-}
-
-// estimateScratch holds the arenas estimate calls run on. Every call is
-// its own workflow, and in a daemon's traffic well under 0.1 % of the
-// dist-cache lookups found a state another request solved, so each run
-// starts with an empty dist cache (buckets kept) instead of carrying up
-// to statemodel's bound of other requests' states.
-var estimateScratch = sync.Pool{New: func() any { return statemodel.NewScratch() }}
-
-// estimate runs est over flow on a pooled arena with an empty dist cache.
-func estimate(est *statemodel.Estimator, flow *dag.Workflow) (*statemodel.Plan, error) {
-	sc := estimateScratch.Get().(*statemodel.Scratch)
-	defer estimateScratch.Put(sc)
-	sc.ClearDistCache()
-	return est.EstimateWith(sc, flow)
 }
 
 // handle serves the sharded endpoints: decode — unless the fleet tier

@@ -28,9 +28,7 @@ import (
 // scratch, so whether a call finds another's solved states is up to the
 // pool. Callers that want deterministic cross-call reuse (progress
 // indicators ticking the same workflow) hold their own via NewScratch
-// and the *With variants; callers whose runs share no states (a daemon
-// answering distinct workflows) hold their own and empty its cache with
-// ClearDistCache.
+// and the *With variants.
 type Scratch struct {
 	slab    []estJob
 	jobs    map[string]*estJob
@@ -66,11 +64,6 @@ func NewScratch() *Scratch {
 }
 
 var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
-
-// ClearDistCache empties the scratch's dist cache, keeping its buckets,
-// so the next run solves every state afresh. The answers do not change;
-// only the work and the memory the cache holds do.
-func (s *Scratch) ClearDistCache() { clear(s.dc.m) }
 
 // reset prepares the scratch for a run over n jobs. Buffers are
 // re-sliced, not freed; the dist cache deliberately survives — carrying

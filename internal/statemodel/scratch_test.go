@@ -1,8 +1,6 @@
 package statemodel
 
 import (
-	"bytes"
-	"encoding/json"
 	"math/rand"
 	"testing"
 	"time"
@@ -106,31 +104,5 @@ func TestScratchResetPreservesDistCache(t *testing.T) {
 	}
 	if _, ok := s.dc.get(distKey{self: 42}); !ok {
 		t.Error("reset dropped the dist cache")
-	}
-}
-
-// TestClearDistCacheKeepsAnswers: emptying a held scratch's dist cache
-// between runs drops every solved state and changes no answer.
-func TestClearDistCacheKeepsAnswers(t *testing.T) {
-	e, w, s := New(spec(), boeTimer(), Options{}), benchFlow(), NewScratch()
-	warm, err := e.EstimateWith(s, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.dc.m) == 0 {
-		t.Fatal("the run cached no solved states")
-	}
-	s.ClearDistCache()
-	if n := len(s.dc.m); n != 0 {
-		t.Fatalf("ClearDistCache left %d entries", n)
-	}
-	cold, err := e.EstimateWith(s, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := json.Marshal(warm)
-	b, _ := json.Marshal(cold)
-	if !bytes.Equal(a, b) {
-		t.Error("the plan after ClearDistCache differs")
 	}
 }

@@ -648,7 +648,7 @@ func (e *Estimator) run(s *Scratch, w *dag.Workflow, remaining int) (*Plan, erro
 		}
 		reg.Counter("est_waterfill_solves").Add(ws.Solves)
 		reg.Counter("est_waterfill_memo_hits").Add(ws.MemoHits)
-		reg.Counter("est_waterfill_sweeps").Add(ws.Sweeps)
+		reg.Counter("est_waterfill_rebinds").Add(ws.Rebinds)
 		reg.Counter("est_waterfill_capped").Add(ws.Capped)
 		stateDur := reg.Histogram("est_state_duration_s")
 		for _, st := range plan.States {

@@ -8,7 +8,6 @@ import (
 
 	"boedag/internal/cluster"
 	"boedag/internal/dag"
-	"boedag/internal/sched"
 	"boedag/internal/simulator"
 	"boedag/internal/statemodel"
 	"boedag/internal/workload"
@@ -124,90 +123,13 @@ func (h *Hasher) Spec(s cluster.Spec) {
 	h.Int(int64(s.Node.MemoryMB))
 }
 
-// caps folds a parallelism-cap map in sorted-key order.
-func (h *Hasher) caps(caps map[string]int) {
-	h.Int(int64(len(caps)))
-	if len(caps) == 0 {
-		return
-	}
-	keys := make([]string, 0, len(caps))
-	for k := range caps {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		h.Str(k)
-		h.Int(int64(caps[k]))
-	}
-}
-
-// floats folds a string→float64 map in sorted-key order.
-func (h *Hasher) floats(m map[string]float64) {
-	h.Int(int64(len(m)))
-	if len(m) == 0 {
-		return
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		h.Str(k)
-		h.Float(m[k])
-	}
-}
-
-// strs folds a string→string map in sorted-key order.
-func (h *Hasher) strs(m map[string]string) {
-	h.Int(int64(len(m)))
-	if len(m) == 0 {
-		return
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		h.Str(k)
-		h.Str(m[k])
-	}
-}
-
-// Hierarchy folds a queue tree's canonical spec list (nil = flat).
-func (h *Hasher) Hierarchy(t *sched.Hierarchy) {
-	if t == nil {
-		h.Int(-1)
-		return
-	}
-	specs := t.Specs()
-	h.Int(int64(len(specs)))
-	for _, sp := range specs {
-		h.Str(sp.Name)
-		h.Str(sp.Parent)
-		h.Int(int64(sp.Quota.MemoryMB))
-		h.Int(int64(sp.Quota.VCores))
-		h.Int(int64(sp.Quota.Slots))
-		h.Float(sp.Weight)
-		h.Int(int64(sp.Limit.MemoryMB))
-		h.Int(int64(sp.Limit.VCores))
-		h.Int(int64(sp.Limit.Slots))
-	}
-}
-
 // EstimatorOptions folds every semantically significant estimator option
 // (Observe is excluded: sinks do not change the plan).
 func (h *Hasher) EstimatorOptions(o statemodel.Options) {
 	h.Int(int64(o.Mode))
 	h.Dur(o.JobSubmitOverhead)
-	h.caps(o.ParallelismCaps)
 	h.Int(int64(o.SlotLimit))
 	h.Int(int64(o.Policy))
-	h.Hierarchy(o.Hierarchy)
-	h.strs(o.Queues)
-	h.caps(o.Gangs)
-	h.floats(o.Predictions)
 	h.Float(o.TaskFailureProb)
 	h.Bool(o.DiscreteWaves)
 	// Incremental vs from-scratch plans are byte-identical by contract,
@@ -223,17 +145,11 @@ func (h *Hasher) SimulatorOptions(o simulator.Options) {
 	h.Int(o.Seed)
 	h.Dur(o.TaskStartOverhead)
 	h.Dur(o.JobSubmitOverhead)
-	h.caps(o.ParallelismCaps)
 	h.Int(int64(o.SlotLimit))
 	h.Int(int64(o.Policy))
-	h.Hierarchy(o.Hierarchy)
-	h.strs(o.Queues)
-	h.caps(o.Gangs)
-	h.floats(o.Predictions)
 	h.Float(o.TaskFailureProb)
 	h.Bool(o.NodeAware)
 	h.Bool(o.DisableSkew)
-	h.Int(int64(o.MaxEvents))
 }
 
 // Timer folds a TaskTimer's identity into the hash. It understands the

@@ -7,7 +7,6 @@ import (
 	"boedag/internal/boe"
 	"boedag/internal/cluster"
 	"boedag/internal/dag"
-	"boedag/internal/sched"
 	"boedag/internal/simulator"
 	"boedag/internal/statemodel"
 	"boedag/internal/workload"
@@ -88,66 +87,9 @@ func TestPlanKeySensitiveToEstimatorConfig(t *testing.T) {
 	}
 }
 
-// TestPlanKeySensitiveToSchedulingConfig pins the scheduling additions
-// to the signature: queue hierarchies, queue assignments, gang sizes,
-// and predicted runtimes all change an estimator's cache key, and the
-// flat (nil-hierarchy) key never aliases a hierarchical one.
-func TestPlanKeySensitiveToSchedulingConfig(t *testing.T) {
-	spec := cluster.PaperCluster()
-	timer := &statemodel.BOETimer{Model: boe.New(spec)}
-	keyFor := func(opt statemodel.Options) string {
-		k, ok := PlanKey(statemodel.New(spec, timer, opt), sigFlow())
-		if !ok {
-			t.Fatal("BOE-timer estimator should be cacheable")
-		}
-		return k
-	}
-
-	flat := keyFor(statemodel.Options{})
-	tree := func(prodSlots int, weight float64, limit int) *sched.Hierarchy {
-		h, err := sched.NewHierarchy([]sched.QueueSpec{
-			{Name: "prod", Quota: sched.QueueLimit{Slots: prodSlots}},
-			{Name: "batch", Weight: weight, Limit: sched.QueueLimit{Slots: limit}},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h
-	}
-
-	base := keyFor(statemodel.Options{Hierarchy: tree(20, 2, 0)})
-	if base == flat {
-		t.Fatal("hierarchical options collided with the flat key")
-	}
-	if again := keyFor(statemodel.Options{Hierarchy: tree(20, 2, 0)}); again != base {
-		t.Fatal("identical hierarchies produced different keys")
-	}
-	variants := map[string]statemodel.Options{
-		"quota":       {Hierarchy: tree(24, 2, 0)},
-		"weight":      {Hierarchy: tree(20, 3, 0)},
-		"limit":       {Hierarchy: tree(20, 2, 40)},
-		"queues":      {Hierarchy: tree(20, 2, 0), Queues: map[string]string{"WC/WC": "prod"}},
-		"gangs":       {Hierarchy: tree(20, 2, 0), Gangs: map[string]int{"WC/WC": 4}},
-		"predictions": {Hierarchy: tree(20, 2, 0), Predictions: map[string]float64{"WC/WC": 120}},
-	}
-	for name, opt := range variants {
-		if k := keyFor(opt); k == base {
-			t.Errorf("%s variant collided with the base hierarchy key", name)
-		}
-	}
-
-	// Map fields hash in sorted-key order, so insertion order is
-	// irrelevant — and content still distinguishes.
-	a := keyFor(statemodel.Options{Queues: map[string]string{"a": "prod", "b": "batch"}})
-	b := keyFor(statemodel.Options{Queues: map[string]string{"b": "batch", "a": "prod"}})
-	if a != b {
-		t.Error("queue-map insertion order leaked into the key")
-	}
-	if c := keyFor(statemodel.Options{Queues: map[string]string{"a": "batch", "b": "batch"}}); c == a {
-		t.Error("different queue assignment collided")
-	}
-
-	// Sum exposes the raw hash: distinct field sequences diverge.
+// TestHasherFieldSeparator checks that adjacent string fields cannot
+// alias: ("ab", "c") and ("a", "bc") hash apart.
+func TestHasherFieldSeparator(t *testing.T) {
 	h1, h2 := NewHasher(), NewHasher()
 	h1.Str("ab")
 	h1.Str("c")

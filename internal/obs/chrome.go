@@ -188,12 +188,6 @@ func WriteChromeTraceAnnotated(w io.Writer, events []Event, ann *TraceAnnotation
 				Phase: "i", TS: ev.Time * usPerSec,
 				PID: jobPID[ev.Job], TID: ev.Task, Scope: "t",
 			})
-		case EvTaskPreempt:
-			trace.TraceEvents = append(trace.TraceEvents, chromeEvent{
-				Name: fmt.Sprintf("preempt %s[%d]", ev.Stage, ev.Task), Cat: "task",
-				Phase: "i", TS: ev.Time * usPerSec,
-				PID: jobPID[ev.Job], TID: ev.Task, Scope: "t",
-			})
 		case EvJobSubmit:
 			trace.TraceEvents = append(trace.TraceEvents, chromeEvent{
 				Name: "submit " + ev.Job, Cat: "job",

@@ -93,10 +93,6 @@ const (
 	// the owning request's ordinal, so exporters can nest phases under
 	// their request like sub-stages under a task.
 	EvRequestPhase
-	// EvTaskPreempt marks a running task evicted by the hierarchical
-	// scheduler's reclaim phase (its container returns to the pool and the
-	// task restarts from scratch when re-granted).
-	EvTaskPreempt
 )
 
 // String names the event type as exporters print it.
@@ -134,8 +130,6 @@ func (t EventType) String() string {
 		return "request"
 	case EvRequestPhase:
 		return "request_phase"
-	case EvTaskPreempt:
-		return "task_preempt"
 	}
 	return fmt.Sprintf("event(%d)", uint8(t))
 }

@@ -33,38 +33,3 @@ func GrantObserved(policy Policy, pool Pool, reqs []Request, held Allocation, o 
 	}
 	return grants
 }
-
-// AllocateHierarchyObserved is AllocateHierarchy with observability
-// attached: grants are emitted as EvAllocGrant events (Detail "hier")
-// and both grants and reclaim evictions are counted in the metrics
-// registry. With observability disabled it is exactly
-// AllocateHierarchy.
-func AllocateHierarchyObserved(pool Pool, h *Hierarchy, reqs []Request, held Allocation, o obs.Options, now float64) HierResult {
-	res := AllocateHierarchy(pool, h, reqs, held)
-	if o.TracerOn() {
-		for _, r := range reqs {
-			g := res.Grants[r.JobID]
-			if g <= 0 {
-				continue
-			}
-			o.Tracer.Emit(obs.Event{
-				Type:   obs.EvAllocGrant,
-				Time:   now,
-				Job:    r.JobID,
-				Task:   -1,
-				Value:  float64(g),
-				Detail: "hier",
-			})
-		}
-	}
-	if o.MetricsOn() {
-		if total := res.Grants.Total(); total > 0 {
-			o.Metrics.Counter("sched_containers_granted").Add(int64(total))
-		}
-		if evicted := res.Evict.Total(); evicted > 0 {
-			o.Metrics.Counter("sched_containers_evicted").Add(int64(evicted))
-		}
-		o.Metrics.Counter("sched_grant_rounds").Inc()
-	}
-	return res
-}

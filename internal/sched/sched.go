@@ -21,7 +21,8 @@ type Request struct {
 	// Pending is the number of tasks still wanting containers.
 	Pending int
 	// Cap optionally limits the containers granted to this job (0 = no
-	// cap); used to sweep the degree of parallelism in experiments.
+	// cap). Experiments never set it; RunStream sets it from the stream
+	// job's MaxParallelism.
 	Cap int
 	// Order is the job's submission sequence number, consumed by the FIFO
 	// policy (lower is earlier); DRF and Fair ignore it.

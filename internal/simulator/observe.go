@@ -16,7 +16,6 @@ type simMetrics struct {
 	tasksScheduled *obs.Counter
 	tasksFinished  *obs.Counter
 	taskRetries    *obs.Counter
-	taskPreempts   *obs.Counter
 	loopEvents     *obs.Counter
 	states         *obs.Counter
 	taskDur        *obs.Histogram
@@ -33,7 +32,6 @@ func newSimMetrics(reg *obs.Registry) *simMetrics {
 		tasksScheduled: reg.Counter("sim_tasks_scheduled"),
 		tasksFinished:  reg.Counter("sim_tasks_finished"),
 		taskRetries:    reg.Counter("sim_task_retries"),
-		taskPreempts:   reg.Counter("sim_task_preempts"),
 		loopEvents:     reg.Counter("sim_loop_events"),
 		states:         reg.Counter("sim_states"),
 		taskDur:        reg.Histogram("sim_task_duration_s"),

@@ -119,9 +119,6 @@ type Result struct {
 	Tasks    []TaskRecord
 	Stages   []StageRecord
 	States   []StateRecord
-	// Preemptions counts running tasks evicted by the hierarchical
-	// scheduler's reclaim phase (always zero under flat policies).
-	Preemptions int
 }
 
 // TotalRetries sums failed attempts across all tasks.

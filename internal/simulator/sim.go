@@ -28,30 +28,10 @@ type Options struct {
 	// JobSubmitOverhead is the latency between a job becoming eligible and
 	// its tasks being schedulable (client submit + AM start; default 2 s).
 	JobSubmitOverhead time.Duration
-	// ParallelismCaps optionally caps the containers granted per job ID —
-	// the knob behind the paper's degree-of-parallelism sweeps.
-	ParallelismCaps map[string]int
 	// SlotLimit overrides the cluster's total task slots when positive.
 	SlotLimit int
 	// Policy selects the scheduler discipline (default DRF, as the paper).
 	Policy sched.Policy
-	// Hierarchy, when non-nil, replaces the flat policy grant with
-	// hierarchical queue scheduling (quotas, over-quota weights, limits,
-	// gangs, reclaim) — the same pure allocator the estimator models, so
-	// both sides schedule identically. Reclaim evictions preempt running
-	// tasks: the container returns to the pool and the task restarts from
-	// scratch when re-granted. Nil keeps flat scheduling byte-for-byte.
-	Hierarchy *sched.Hierarchy
-	// Queues maps job ID to its leaf queue; consulted only under
-	// Hierarchy (absent jobs park at the root).
-	Queues map[string]string
-	// Gangs maps job ID to an all-or-nothing minimum parallelism;
-	// consulted only under Hierarchy.
-	Gangs map[string]int
-	// Predictions maps job ID to its predicted runtime in seconds: the
-	// SPJF policy's ordering key and the hierarchy's reclaim victim
-	// ordering (longest-predicted evicted first).
-	Predictions map[string]float64
 	// TaskFailureProb is the probability that a task attempt fails once
 	// mid-flight and is re-executed from scratch (MapReduce's standard
 	// fault tolerance). Failures are drawn deterministically from Seed.
@@ -64,8 +44,6 @@ type Options struct {
 	NodeAware bool
 	// DisableSkew forces perfectly even task sizes.
 	DisableSkew bool
-	// MaxEvents guards against runaway simulations (default 10 million).
-	MaxEvents int
 	// Observe attaches the observability layer: a Tracer receiving
 	// structured events (task lifecycle, sub-stage bottleneck resolution,
 	// state transitions, allocation decisions) and a metrics Registry.
@@ -79,9 +57,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.JobSubmitOverhead == 0 {
 		o.JobSubmitOverhead = 2 * time.Second
-	}
-	if o.MaxEvents == 0 {
-		o.MaxEvents = 10_000_000
 	}
 	return o
 }
@@ -243,9 +218,9 @@ func (s *Simulator) Run(w *dag.Workflow) (*Result, error) {
 
 	remainingJobs := len(jobs)
 	for events := 0; remainingJobs > 0; events++ {
-		if events > s.opt.MaxEvents {
+		if events > maxEvents {
 			return nil, fmt.Errorf("simulator: workflow %q exceeded %d events (livelock?)",
-				w.Name, s.opt.MaxEvents)
+				w.Name, maxEvents)
 		}
 		if s.m != nil {
 			s.m.loopEvents.Inc()
@@ -259,8 +234,8 @@ func (s *Simulator) Run(w *dag.Workflow) (*Result, error) {
 		}
 
 		// Grant free containers via the configured discipline and launch
-		// tasks; under a hierarchy, reclaim may first preempt running ones.
-		res.Preemptions += s.schedule(pool, ordered, &running, now, nodeLoad, scratch)
+		// tasks.
+		s.schedule(pool, ordered, &running, now, nodeLoad, scratch)
 		stateTracker.observe(now, running)
 
 		// Allocate resources among working tasks and find the next event.
@@ -437,6 +412,9 @@ func (s *Simulator) Run(w *dag.Workflow) (*Result, error) {
 
 const timeEps = 1e-9
 
+// maxEvents guards against runaway simulations.
+const maxEvents = 10_000_000
+
 // startStage materializes the pending tasks of a job stage at model time
 // now, applying the deterministic per-task size skew.
 func (s *Simulator) startStage(j *simJob, st workload.Stage, now float64) {
@@ -566,9 +544,7 @@ func (s *Simulator) allocate(running []*simTask, sc *allocScratch) [cluster.NumR
 // schedule grants containers under the configured policy and launches
 // pending tasks; in NodeAware mode each launch is placed on the
 // least-loaded node. jobs must be sorted by ID (the tie-break order).
-// Under a hierarchy, reclaim evictions are applied first (the preempted
-// tasks return to pending); the return value counts them.
-func (s *Simulator) schedule(pool sched.Pool, jobs []*simJob, running *[]*simTask, now float64, nodeLoad []int, sc *schedScratch) int {
+func (s *Simulator) schedule(pool sched.Pool, jobs []*simJob, running *[]*simTask, now float64, nodeLoad []int, sc *schedScratch) {
 	reqs := sc.reqs[:0]
 	active := sc.active[:0]
 	clear(sc.held)
@@ -582,36 +558,20 @@ func (s *Simulator) schedule(pool sched.Pool, jobs []*simJob, running *[]*simTas
 			st = workload.Reduce
 		}
 		reqs = append(reqs, sched.Request{
-			JobID:     j.id,
-			MemoryMB:  j.profile.MemoryMB(st),
-			VCores:    j.profile.VCores(st),
-			Pending:   len(j.pending),
-			Cap:       s.opt.ParallelismCaps[j.id],
-			Order:     j.order,
-			Queue:     s.opt.Queues[j.id],
-			Gang:      s.opt.Gangs[j.id],
-			Predicted: s.opt.Predictions[j.id],
+			JobID:    j.id,
+			MemoryMB: j.profile.MemoryMB(st),
+			VCores:   j.profile.VCores(st),
+			Pending:  len(j.pending),
+			Order:    j.order,
 		})
 		active = append(active, j)
 		held[j.id] = len(j.running)
 	}
 	sc.reqs, sc.active = reqs, active
 	if len(reqs) == 0 {
-		return 0
+		return
 	}
-	var grants sched.Allocation
-	preempted := 0
-	if s.opt.Hierarchy != nil {
-		hr := sched.AllocateHierarchyObserved(pool, s.opt.Hierarchy, reqs, held, s.opt.Observe, now)
-		grants = hr.Grants
-		for ri := range reqs {
-			if n := hr.Evict[reqs[ri].JobID]; n > 0 {
-				preempted += s.preempt(active[ri], n, running, now, nodeLoad)
-			}
-		}
-	} else {
-		grants = sched.GrantObserved(s.opt.Policy, pool, reqs, held, s.opt.Observe, now)
-	}
+	grants := sched.GrantObserved(s.opt.Policy, pool, reqs, held, s.opt.Observe, now)
 	for ri := range reqs {
 		r, j := reqs[ri], active[ri]
 		for g := grants[r.JobID]; g > 0 && len(j.pending) > 0; g-- {
@@ -647,63 +607,6 @@ func (s *Simulator) schedule(pool sched.Pool, jobs []*simJob, running *[]*simTas
 			}
 		}
 	}
-	return preempted
-}
-
-// preempt evicts n of the job's running tasks back to the pending queue:
-// the attempt's progress is lost and it restarts from scratch (container
-// re-launch included) when next granted. Victims are the youngest
-// attempts — latest start, highest index on ties — so the least sunk
-// work is discarded; the order is deterministic.
-func (s *Simulator) preempt(j *simJob, n int, running *[]*simTask, now float64, nodeLoad []int) int {
-	victims := make([]*simTask, 0, len(j.running))
-	for t := range j.running {
-		victims = append(victims, t)
-	}
-	sort.Slice(victims, func(a, b int) bool {
-		if victims[a].start != victims[b].start {
-			return victims[a].start > victims[b].start
-		}
-		return victims[a].index > victims[b].index
-	})
-	if n > len(victims) {
-		n = len(victims)
-	}
-	victims = victims[:n]
-	evicted := make(map[*simTask]bool, n)
-	for _, t := range victims {
-		evicted[t] = true
-		delete(j.running, t)
-		if t.node >= 0 {
-			nodeLoad[t.node]--
-			t.node = -1
-		}
-		t.cur = 0
-		t.remaining = 1
-		t.delay = 0
-		t.rate = 0
-		t.subDurs = t.subDurs[:0]
-		if s.trOn {
-			s.opt.Observe.Tracer.Emit(obs.Event{
-				Type: obs.EvTaskPreempt, Time: now,
-				Job: j.id, Stage: t.stage.String(), Task: t.index,
-			})
-		}
-		if s.m != nil {
-			s.m.taskPreempts.Inc()
-		}
-	}
-	// Preempted tasks rejoin the head of the pending queue (youngest
-	// first, as selected) and the running set is compacted in place.
-	j.pending = append(victims, j.pending...)
-	kept := (*running)[:0]
-	for _, t := range *running {
-		if !evicted[t] {
-			kept = append(kept, t)
-		}
-	}
-	*running = kept
-	return n
 }
 
 // finishTask converts a completed task into its record and folds its

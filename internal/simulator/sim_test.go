@@ -127,20 +127,6 @@ func TestDependenciesRespected(t *testing.T) {
 	}
 }
 
-func TestParallelismCapRespected(t *testing.T) {
-	p := workload.WordCount(10 * units.GB)
-	res := run(t, dag.Single(p), Options{
-		ParallelismCaps: map[string]int{p.Name: 9},
-	})
-	s := res.StageOf(p.Name, workload.Map)
-	if s == nil {
-		t.Fatal("no map stage")
-	}
-	if s.MaxParallelism > 9 {
-		t.Errorf("peak parallelism %d exceeds cap 9", s.MaxParallelism)
-	}
-}
-
 func TestSlotLimitRespected(t *testing.T) {
 	res := run(t, wcFlow(10), Options{SlotLimit: 11})
 	for _, s := range res.Stages {

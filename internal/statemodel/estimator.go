@@ -25,27 +25,10 @@ type Options struct {
 	Mode SkewMode
 	// JobSubmitOverhead is the per-job submit/compile latency.
 	JobSubmitOverhead time.Duration
-	// ParallelismCaps optionally caps per-job container grants.
-	ParallelismCaps map[string]int
 	// SlotLimit overrides the cluster's total task slots when positive.
 	SlotLimit int
 	// Policy selects the modelled scheduler discipline (default DRF).
 	Policy sched.Policy
-	// Hierarchy, when non-nil, replaces the flat policy grant with
-	// hierarchical queue scheduling (quotas, over-quota weights, limits,
-	// gangs) — the same pure allocator the simulator runs, so both sides
-	// schedule identically. Nil keeps flat scheduling byte-for-byte.
-	Hierarchy *sched.Hierarchy
-	// Queues maps job ID to its leaf queue; consulted only under
-	// Hierarchy (absent jobs park at the root).
-	Queues map[string]string
-	// Gangs maps job ID to an all-or-nothing minimum parallelism;
-	// consulted only under Hierarchy.
-	Gangs map[string]int
-	// Predictions maps job ID to its predicted runtime in seconds: the
-	// SPJF policy's ordering key and the hierarchy's reclaim victim
-	// ordering (longest-predicted evicted first).
-	Predictions map[string]float64
 	// TaskFailureProb models the execution's task-attempt failure rate:
 	// each failed attempt dies uniformly at random through its work and is
 	// re-executed, so the expected task time inflates by a factor of
@@ -365,39 +348,20 @@ func (e *Estimator) run(s *Scratch, w *dag.Workflow, remaining int) (*Plan, erro
 		reqs := s.reqs[:n]
 		for i, j := range running {
 			reqs[i] = sched.Request{
-				JobID:     j.id,
-				MemoryMB:  j.profile.MemoryMB(j.stage),
-				VCores:    j.profile.VCores(j.stage),
-				Pending:   j.pendingTasks(),
-				Cap:       e.Opt.ParallelismCaps[j.id],
-				Order:     j.order,
-				Queue:     e.Opt.Queues[j.id],
-				Gang:      e.Opt.Gangs[j.id],
-				Predicted: e.Opt.Predictions[j.id],
+				JobID:    j.id,
+				MemoryMB: j.profile.MemoryMB(j.stage),
+				VCores:   j.profile.VCores(j.stage),
+				Pending:  j.pendingTasks(),
+				Order:    j.order,
 			}
 		}
-		var grants sched.Allocation
-		if e.Opt.Hierarchy != nil {
-			grants = sched.AllocateHierarchyObserved(pool, e.Opt.Hierarchy, reqs, nil, e.Opt.Observe, now).Grants
-		} else {
-			grants = sched.GrantObserved(e.Opt.Policy, pool, reqs, nil, e.Opt.Observe, now)
-		}
+		grants := sched.GrantObserved(e.Opt.Policy, pool, reqs, nil, e.Opt.Observe, now)
 
 		delta := s.delta[:n]
 		for i, j := range running {
-			d := grants[j.id]
-			if d < 1 {
-				// The flat fluid model floors every running job at one
-				// container so progress never stalls. Under a hierarchy the
-				// floor would forge capacity a quota, limit, or failed gang
-				// deliberately withheld — there a zero grant genuinely means
-				// zero progress this state.
-				if e.Opt.Hierarchy == nil {
-					d = 1
-				} else {
-					d = 0
-				}
-			}
+			// The fluid model floors every running job at one container
+			// so progress never stalls.
+			d := max(grants[j.id], 1)
 			delta[i] = d
 			j.lastDelta = d
 		}
@@ -416,14 +380,6 @@ func (e *Estimator) run(s *Scratch, w *dag.Workflow, remaining int) (*Plan, erro
 				elems[i] = mix64(mix64(mix64(fnvOffset, j.fp), uint64(j.stage)), uint64(delta[i]))
 			}
 			for i, j := range running {
-				if delta[i] == 0 {
-					// Starved under the hierarchy: no containers, no task time
-					// to solve. (A starved predecessor can never alias the next
-					// job's elems — equal elems imply equal deltas.)
-					dists[i] = TaskTimeDist{}
-					hit[i] = true
-					continue
-				}
 				if i > 0 && elems[i] == elems[i-1] {
 					// Identical adjacent groups see the identical environment
 					// sequence: removing either occurrence of an equal pair
@@ -461,10 +417,6 @@ func (e *Estimator) run(s *Scratch, w *dag.Workflow, remaining int) (*Plan, erro
 				st.beginState(sv, groups, infos)
 			}
 			for i, j := range running {
-				if delta[i] == 0 {
-					dists[i] = TaskTimeDist{}
-					continue
-				}
 				if cacheable && hit[i] {
 					continue
 				}
@@ -508,13 +460,6 @@ func (e *Estimator) run(s *Scratch, w *dag.Workflow, remaining int) (*Plan, erro
 		rates := s.rates[:n]
 		rests := s.rests[:n]
 		for i, j := range running {
-			if delta[i] == 0 {
-				// Starved this state: zero progress; the stage's remaining
-				// time is unbounded until another state frees capacity.
-				rates[i] = 0
-				rests[i] = math.Inf(1)
-				continue
-			}
 			tt := dists[i].ByMode(e.Opt.Mode).Seconds()
 			if tt <= 0 {
 				return nil, fmt.Errorf("statemodel: workflow %q: job %q %s: non-positive task time",
@@ -581,12 +526,6 @@ func (e *Estimator) run(s *Scratch, w *dag.Workflow, remaining int) (*Plan, erro
 				dt = r
 			}
 		}
-		if math.IsInf(dt, 1) {
-			// Every running job is starved and no submit can change that:
-			// a quota/limit/gang configuration that never grants capacity.
-			return nil, fmt.Errorf("statemodel: workflow %q starved at t=%.2fs (hierarchy grants no parallelism)",
-				w.Name, now)
-		}
 		if dt < 0 {
 			dt = 0
 		}
@@ -597,9 +536,7 @@ func (e *Estimator) run(s *Scratch, w *dag.Workflow, remaining int) (*Plan, erro
 		finished := false
 		for i, j := range running {
 			j.tasksLeft -= rates[i] * dt
-			if delta[i] > 0 {
-				j.busy[dists[i].Bottleneck] += dt
-			}
+			j.busy[dists[i].Bottleneck] += dt
 			if j.tasksLeft > 1e-9 && rests[i] > dt+1e-9 {
 				continue
 			}

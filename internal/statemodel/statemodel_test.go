@@ -143,16 +143,6 @@ func TestSlotLimitLowersParallelism(t *testing.T) {
 	}
 }
 
-func TestParallelismCaps(t *testing.T) {
-	flow := dag.Single(workload.WordCount(20 * units.GB))
-	plan := estimate(t, flow, Options{ParallelismCaps: map[string]int{"WC": 7}})
-	for _, s := range plan.Stages {
-		if s.Parallelism > 7 {
-			t.Errorf("stage %s/%s parallelism %d exceeds cap 7", s.Job, s.Stage, s.Parallelism)
-		}
-	}
-}
-
 func TestDiscreteWavesAtLeastFluid(t *testing.T) {
 	flow := dag.Single(workload.WordCount(20 * units.GB))
 	fluid := estimate(t, flow, Options{})

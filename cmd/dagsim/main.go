@@ -84,7 +84,7 @@ func run() error {
 		jsonOut   = flag.String("json", "", "write the run summary to this JSON file")
 		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent simulations for a multi-workflow run (1 = serial)")
 		clusterIn = flag.String("cluster", "", "simulate this cluster spec JSON (e.g. from `calibrate -spec-out`) instead of the paper cluster")
-		policy    = flag.String("policy", "drf", "container scheduling policy: drf, fifo, fair, or spjf")
+		policy    = flag.String("policy", "drf", "container scheduling policy of the simulation and the prediction: drf, fifo, fair, or spjf (spjf equals fifo here: the engines carry no predicted runtimes)")
 		study     = flag.Bool("sched-study", false, "replay the seeded arrival scenarios under every policy and print the comparison table")
 		mode      = flag.String("mode", "", "predict the plan with the BOE estimator first, under this skew mode: mean | median | normal")
 		validate  = flag.Bool("validate", true, "run the simulation; false predicts without simulating")

@@ -247,8 +247,9 @@ if [[ $quick -eq 1 ]]; then
     # quick mode.
     echo "== serve race check =="
     go test -race -count=1 ./internal/serve
-    # The scheduler's property/metamorphic suites and the shared
-    # stateless allocator back both engines: they run under -race too.
+    # The scheduler's property/metamorphic suites, the stateless
+    # allocators (the flat grant behind both engines, the hierarchy
+    # behind the stream replay) and RunStream run under -race too.
     echo "== sched race check =="
     go test -race -count=1 ./internal/sched ./internal/sched/schedtest
     explain_smoke

@@ -32,6 +32,7 @@ sample() {
 
 for _ in 1 2 3 4 5; do
     sample internal/statemodel 'BenchmarkEstimatorAllocs$' 5000x
+    sample internal/statemodel 'BenchmarkDistinctEstimates$' 256x
     sample . 'BenchmarkFigure4BOEExample$' 400000x
     sample internal/statemodel 'BenchmarkEstimate1kJobs$|BenchmarkFromScratchReestimate$' 1x
     sample internal/statemodel 'BenchmarkIncrementalReestimate$' 2x

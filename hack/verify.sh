@@ -178,7 +178,9 @@ explain_smoke() {
 # runnable; real speedup numbers need a longer -benchtime on a
 # multi-core machine. It also runs one node-aware simulation at paper
 # scale, where every event solves each node's pools, and one estimate of
-# the 10k-job synthetic workflow so the scale path stays runnable.
+# the 10k-job synthetic workflow so the scale path stays runnable. The
+# cold dist-cache counters of that workflow are pinned here too (tier-1
+# pins the 1k-job ones).
 bench_smoke() {
     echo "== parallel sweep benchmark smoke =="
     go test ./internal/experiments -run '^$' -bench BenchmarkSweepParallel -benchtime 1x
@@ -187,6 +189,8 @@ bench_smoke() {
     echo "== 10k-job estimate smoke =="
     go test ./internal/statemodel -run '^$' \
         -bench 'BenchmarkEstimate10kJobs$' -benchtime 1x
+    echo "== synth-10k cold dist counters =="
+    go test ./internal/statemodel -count=1 -run '^TestColdDistCounters$' -synth10k
 }
 
 # incremental_smoke pins the incremental estimator's contract: the

@@ -178,7 +178,7 @@ func (m *Model) stageOf(p workload.JobProfile, s workload.Stage) *StageInfo {
 	si = &StageInfo{subs: subs, agg: aggregate(subs)}
 	m.mu.Lock()
 	if m.stages == nil || len(m.stages) >= stageCacheMax {
-		m.stages = make(map[stageKey]*StageInfo, 64)
+		m.stages = make(map[stageKey]*StageInfo)
 	}
 	m.stages[k] = si
 	m.mu.Unlock()
@@ -208,6 +208,8 @@ type Solver struct {
 	own   []*StageInfo
 	rows  []fairshare.Consumer
 	built bool
+	// subs backs the SubStages of TaskTimeInState's estimates.
+	subs []SubStageEstimate
 }
 
 var evalPool = sync.Pool{New: func() any { return new(Solver) }}
@@ -333,7 +335,7 @@ func (m *Model) TaskTimeWith(p workload.JobProfile, s workload.Stage, parallelis
 	g = append(g, env...)
 	sc.groups = g
 	m.BeginState(sc, g, nil)
-	return m.taskTime(sc, 0, true)
+	return m.taskTime(sc, 0, true, nil)
 }
 
 // TaskTimeAt estimates the task time of groups[self] under contention
@@ -345,29 +347,33 @@ func (m *Model) TaskTimeWith(p workload.JobProfile, s workload.Stage, parallelis
 func (m *Model) TaskTimeAt(groups []TaskGroup, self int) TaskEstimate {
 	sc := evalPool.Get().(*Solver)
 	defer evalPool.Put(sc)
-	return m.TaskTimeAtOn(sc, groups, self)
+	return m.taskTimeAtOn(sc, groups, self)
 }
 
-// TaskTimeAtOn is TaskTimeAt solving on the caller's solver. It begins
-// a state of its own on sv.
-func (m *Model) TaskTimeAtOn(sc *Solver, groups []TaskGroup, self int) TaskEstimate {
+// taskTimeAtOn is TaskTimeAt solving on the given solver. It begins a
+// state of its own on sc.
+func (m *Model) taskTimeAtOn(sc *Solver, groups []TaskGroup, self int) TaskEstimate {
 	m.BeginState(sc, groups, nil)
-	return m.taskTime(sc, self, false)
+	return m.taskTime(sc, self, false, nil)
 }
 
 // TaskTimeInState is TaskTimeAt of the state begun on sv by BeginState:
 // the same answer, with the other groups' rows taken from the state
-// instead of derived again.
+// instead of derived again. The estimate's SubStages is a buffer owned
+// by sv, valid until sv's next solve.
 func (m *Model) TaskTimeInState(sv *Solver, self int) TaskEstimate {
-	return m.taskTime(sv, self, false)
+	est := m.taskTime(sv, self, false, sv.subs[:0])
+	sv.subs = est.SubStages
+	return est
 }
 
 // taskTime sums the sub-stage estimates of the state's group self
-// against the state's other groups, varying self's current sub-stage;
-// withOps renders each sub-stage's per-operation report. The rows are
-// self first, then the others in state order (the fill's tie order
-// depends on it); only row 0 changes across the sub-stage sweep.
-func (m *Model) taskTime(sv *Solver, self int, withOps bool) TaskEstimate {
+// against the state's other groups, varying self's current sub-stage,
+// and appends them to subs; withOps renders each sub-stage's
+// per-operation report. The rows are self first, then the others in
+// state order (the fill's tie order depends on it); only row 0 changes
+// across the sub-stage sweep.
+func (m *Model) taskTime(sv *Solver, self int, withOps bool, subs []SubStageEstimate) TaskEstimate {
 	if !sv.built {
 		m.buildRows(sv)
 	}
@@ -375,7 +381,7 @@ func (m *Model) taskTime(sv *Solver, self int, withOps bool) TaskEstimate {
 	sv.consumers = append(sv.consumers[:0], fairshare.Consumer{})
 	sv.consumers = append(sv.consumers, sv.rows[:self]...)
 	sv.consumers = append(sv.consumers, sv.rows[self+1:]...)
-	est := TaskEstimate{Stage: g.Stage}
+	est := TaskEstimate{Stage: g.Stage, SubStages: subs}
 	for _, sub := range si.subs {
 		sv.consumers[0] = fairshare.TaskConsumer(m.Spec.Node, sub.Ops, g.Parallelism)
 		alloc := m.allocateRows(sv)

@@ -302,10 +302,10 @@ func TestTaskTimeAtMatchesTaskTimeWith(t *testing.T) {
 	}
 }
 
-// TestTaskTimeAtOnHeldSolver: a solver held across solves answers
-// exactly as the pooled path does, and its counts start from zero when
-// it is taken and cover every fair-share solve made on it — a repeated
-// task time is answered from the memo.
+// TestTaskTimeAtOnHeldSolver: taskTimeAtOn on a solver held across
+// solves answers exactly as the pooled path does, and its counts start
+// from zero when it is taken and cover every fair-share solve made on
+// it — a repeated task time is answered from the memo.
 func TestTaskTimeAtOnHeldSolver(t *testing.T) {
 	m := New(cluster.PaperCluster())
 	groups := []TaskGroup{
@@ -318,7 +318,7 @@ func TestTaskTimeAtOnHeldSolver(t *testing.T) {
 		t.Fatalf("fresh solver reports %d solves", st.Solves)
 	}
 	for round := 0; round < 2; round++ {
-		got, want := m.TaskTimeAtOn(sv, groups, 0), m.TaskTimeAt(groups, 0)
+		got, want := m.taskTimeAtOn(sv, groups, 0), m.TaskTimeAt(groups, 0)
 		if got.Duration != want.Duration || len(got.SubStages) != len(want.SubStages) {
 			t.Fatalf("round %d: held solver %v, pooled %v", round, got.Duration, want.Duration)
 		}
@@ -348,9 +348,36 @@ func TestTaskTimeAtIsLean(t *testing.T) {
 	}
 }
 
+// TestTaskTimeInStateReusesItsBuffer: on a warm solver the state path
+// allocates nothing, since its SubStages live in a buffer of the
+// solver's, while TaskTimeAt hands every caller a slice of its own.
+func TestTaskTimeInStateReusesItsBuffer(t *testing.T) {
+	m := New(cluster.PaperCluster())
+	groups := []TaskGroup{
+		{Profile: workload.TeraSort(20 * units.GB), Stage: workload.Reduce, SubStage: AggregateSubStage, Parallelism: 33},
+		{Profile: workload.WordCount(10 * units.GB), Stage: workload.Map, Parallelism: 12},
+	}
+	sv := GetSolver()
+	defer PutSolver(sv)
+	m.BeginState(sv, groups, nil)
+	solve := func() {
+		for self := range groups {
+			m.TaskTimeInState(sv, self)
+		}
+	}
+	solve()
+	if n := testing.AllocsPerRun(50, solve); n != 0 {
+		t.Errorf("TaskTimeInState allocated %v times per state on a warm solver", n)
+	}
+	a, b := m.TaskTimeAt(groups, 0), m.TaskTimeAt(groups, 1)
+	if &a.SubStages[0] == &b.SubStages[0] {
+		t.Error("two TaskTimeAt estimates share their SubStages")
+	}
+}
+
 // TestStatePathMatchesTaskTimeAtOn: one BeginState serving every group
 // of a state, solved in random order with some stages resolved up front,
-// answers bit for bit what TaskTimeAtOn answers for each group alone,
+// answers bit for bit what taskTimeAtOn answers for each group alone,
 // and what a fresh arena solves on rows built directly from the
 // profiles (self first, then the others in state order). The states are
 // seeded random group sets with aggregate, in-range and done sub-stages,
@@ -373,7 +400,7 @@ func FuzzStatePathMatchesTaskTimeAtOn(f *testing.F) {
 var stateModel = New(cluster.PaperCluster())
 
 // checkStatePath generates the random state of one seed and holds the
-// state path to TaskTimeAtOn and to directly built rows on it.
+// state path to taskTimeAtOn and to directly built rows on it.
 func checkStatePath(t *testing.T, seed int64) {
 	m, r := stateModel, rand.New(rand.NewSource(seed))
 	profiles := []workload.JobProfile{
@@ -410,8 +437,8 @@ func checkStatePath(t *testing.T, seed int64) {
 	m.BeginState(sv, groups, infos)
 	for _, self := range r.Perm(len(groups)) {
 		got := m.TaskTimeInState(sv, self)
-		if want := m.TaskTimeAtOn(alone, groups, self); !sameEstimate(got, want) {
-			t.Fatalf("seed %d self %d: state path %+v, TaskTimeAtOn %+v", seed, self, got, want)
+		if want := m.taskTimeAtOn(alone, groups, self); !sameEstimate(got, want) {
+			t.Fatalf("seed %d self %d: state path %+v, taskTimeAtOn %+v", seed, self, got, want)
 		}
 		if ref := directTaskTime(m, groups, self); !sameEstimate(got, ref) {
 			t.Fatalf("seed %d self %d: state path %+v, direct rows %+v", seed, self, got, ref)

@@ -17,12 +17,17 @@ func sample() []Entry {
 	}
 }
 
+const stamp = "model-a"
+
 func TestRoundTrip(t *testing.T) {
 	in := sample()
-	data := Encode(in)
-	out, err := Decode(data)
+	data := Encode(stamp, in)
+	gotStamp, out, err := Decode(data)
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
+	}
+	if gotStamp != stamp {
+		t.Errorf("stamp %q, want %q", gotStamp, stamp)
 	}
 	if len(out) != len(in) {
 		t.Fatalf("decoded %d entries, want %d", len(out), len(in))
@@ -33,30 +38,30 @@ func TestRoundTrip(t *testing.T) {
 		}
 	}
 	// Encoding is deterministic: same entries, same bytes.
-	if !bytes.Equal(data, Encode(sample())) {
+	if !bytes.Equal(data, Encode(stamp, sample())) {
 		t.Errorf("Encode is not deterministic")
 	}
-	// Empty snapshots round-trip too.
-	if out, err := Decode(Encode(nil)); err != nil || len(out) != 0 {
-		t.Errorf("empty snapshot: %v entries, err %v", out, err)
+	// Empty snapshots round-trip too, stamped or not.
+	if st, out, err := Decode(Encode("", nil)); err != nil || st != "" || len(out) != 0 {
+		t.Errorf("empty snapshot: stamp %q, %v entries, err %v", st, out, err)
 	}
 }
 
 func TestWriteReadFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "estimate_cache.snap")
-	if err := Write(path, sample()); err != nil {
+	if err := Write(path, stamp, sample()); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	out, err := Read(path)
+	st, out, err := ReadStamped(path)
 	if err != nil {
-		t.Fatalf("Read: %v", err)
+		t.Fatalf("ReadStamped: %v", err)
 	}
-	if len(out) != 3 {
-		t.Fatalf("read %d entries, want 3", len(out))
+	if st != stamp || len(out) != 3 {
+		t.Fatalf("read stamp %q and %d entries, want %q and 3", st, len(out), stamp)
 	}
 	// Atomic replace: no temp files left behind, old content replaced.
-	if err := Write(path, sample()[:1]); err != nil {
+	if err := Write(path, stamp, sample()[:1]); err != nil {
 		t.Fatalf("rewrite: %v", err)
 	}
 	files, _ := os.ReadDir(dir)
@@ -78,7 +83,7 @@ func TestReadMissingFile(t *testing.T) {
 }
 
 func TestDecodeRejectsDamage(t *testing.T) {
-	good := Encode(sample())
+	good := Encode(stamp, sample())
 	cases := []struct {
 		name string
 		data []byte
@@ -95,7 +100,7 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Decode(tc.data); !errors.Is(err, tc.want) {
+			if _, _, err := Decode(tc.data); !errors.Is(err, tc.want) {
 				t.Errorf("Decode(%s) = %v, want %v", tc.name, err, tc.want)
 			}
 		})
@@ -103,18 +108,25 @@ func TestDecodeRejectsDamage(t *testing.T) {
 }
 
 // TestDecodeRejectsHugeClaims pins the allocation bound: a tiny file
-// claiming an enormous record must fail cleanly, not allocate.
+// claiming an enormous stamp or record must fail cleanly, not allocate.
 func TestDecodeRejectsHugeClaims(t *testing.T) {
-	// Hand-build: magic, version, count=1, keylen=2^40.
-	data := []byte(magic)
-	data = append(data, Version)
-	data = append(data, 0x01)                               // count 1
-	data = append(data, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40) // huge uvarint
-	sum := fnv64a(fnvOffset, data)
-	data = append(data, byte(sum>>56), byte(sum>>48), byte(sum>>40), byte(sum>>32),
-		byte(sum>>24), byte(sum>>16), byte(sum>>8), byte(sum))
-	if _, err := Decode(data); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("huge length claim: %v, want ErrCorrupt", err)
+	huge := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x40} // uvarint 2^40
+	for name, fields := range map[string][][]byte{
+		"stamp": {huge},
+		"key":   {{0x00}, {0x01}, huge}, // empty stamp, count 1, keylen 2^40
+	} {
+		// Hand-build: magic, version, fields, checksum.
+		data := []byte(magic)
+		data = append(data, Version)
+		for _, f := range fields {
+			data = append(data, f...)
+		}
+		sum := fnv64a(fnvOffset, data)
+		data = append(data, byte(sum>>56), byte(sum>>48), byte(sum>>40), byte(sum>>32),
+			byte(sum>>24), byte(sum>>16), byte(sum>>8), byte(sum))
+		if _, _, err := Decode(data); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("huge %s length claim: %v, want ErrCorrupt", name, err)
+		}
 	}
 }
 

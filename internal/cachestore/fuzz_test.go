@@ -11,20 +11,20 @@ import (
 func FuzzReadSnapshot(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte(magic))
-	f.Add(Encode(nil))
-	f.Add(Encode([]Entry{{Key: "k", Val: []byte("v")}}))
-	f.Add(Encode(sample()))
-	damaged := Encode(sample())
+	f.Add(Encode("", nil))
+	f.Add(Encode("s", []Entry{{Key: "k", Val: []byte("v")}}))
+	f.Add(Encode(stamp, sample()))
+	damaged := Encode(stamp, sample())
 	damaged[len(damaged)/2] ^= 0x55
 	f.Add(damaged)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, err := Decode(data)
+		st, entries, err := Decode(data)
 		if err != nil {
 			return
 		}
 		// A snapshot that decodes must round-trip byte-identically: the
 		// format has no redundant encodings before the checksum.
-		if !bytes.Equal(Encode(entries), data) {
+		if !bytes.Equal(Encode(st, entries), data) {
 			t.Fatalf("decoded snapshot does not re-encode to the same bytes")
 		}
 	})

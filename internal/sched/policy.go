@@ -131,11 +131,17 @@ func drain(pool Pool, ordered, reqs []Request, held Allocation) Allocation {
 // still take one — equal slot counts regardless of container sizes: the
 // progressive fill keyed by holdings.
 func fair(pool Pool, reqs []Request, held Allocation) Allocation {
+	f := fairFill(pool, reqs, held)
+	return f.allocation(false)
+}
+
+// fairFill runs the slot-fair fill and returns its working set.
+func fairFill(pool Pool, reqs []Request, held Allocation) flatFill {
 	f := newFlatFill(pool, reqs, held)
 	progressiveFill(f.heap, len(reqs), func(k int) float64 {
 		return float64(f.have(k))
 	}, f.eligible, f.grantOne)
-	return f.allocation(false)
+	return f
 }
 
 func heldUsage(reqs []Request, held Allocation) (mem, cpu, slots int) {

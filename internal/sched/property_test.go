@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"boedag/internal/obs"
 	"boedag/internal/sched"
 	"boedag/internal/sched/schedtest"
 )
@@ -196,4 +197,48 @@ func allocEqual(a, b sched.Allocation) bool {
 		}
 	}
 	return true
+}
+
+// TestGrantCountsMatchesGrantObserved: under every policy, GrantCounts
+// answers each request with the grant GrantObserved maps its JobID to,
+// emits the same events and counts the same metrics, reusing the slice
+// it is handed.
+func TestGrantCountsMatchesGrantObserved(t *testing.T) {
+	var counts []int
+	events := 0
+	for seed := int64(1); seed <= 200; seed++ {
+		r := schedtest.New(seed)
+		pool := r.Pool()
+		reqs := r.Requests(1+r.Intn(24), nil)
+		for i := len(reqs) - 1; i > 0; i-- { // request order apart from JobID order
+			j := r.Intn(i + 1)
+			reqs[i], reqs[j] = reqs[j], reqs[i]
+		}
+		for _, p := range sched.Policies() {
+			wantRec, gotRec := &obs.Recorder{}, &obs.Recorder{}
+			wantReg, gotReg := obs.NewRegistry(), obs.NewRegistry()
+			want := sched.GrantObserved(p, pool, reqs, nil, obs.Options{Tracer: wantRec, Metrics: wantReg}, 1.5)
+			counts = sched.GrantCounts(counts, p, pool, reqs, obs.Options{Tracer: gotRec, Metrics: gotReg}, 1.5)
+			if len(counts) != len(reqs) {
+				t.Fatalf("seed %d %s: %d counts for %d requests", seed, p, len(counts), len(reqs))
+			}
+			for i, r := range reqs {
+				if counts[i] != want[r.JobID] {
+					t.Fatalf("seed %d %s: %s granted %d, GrantObserved %d", seed, p, r.JobID, counts[i], want[r.JobID])
+				}
+			}
+			if !reflect.DeepEqual(gotRec.Events(), wantRec.Events()) {
+				t.Fatalf("seed %d %s: events differ", seed, p)
+			}
+			events += len(gotRec.Events())
+			for _, name := range []string{"sched_containers_granted", "sched_grant_rounds"} {
+				if g, w := gotReg.Counter(name).Value(), wantReg.Counter(name).Value(); g != w {
+					t.Fatalf("seed %d %s: %s = %d, want %d", seed, p, name, g, w)
+				}
+			}
+		}
+	}
+	if events == 0 {
+		t.Fatal("no grant event to compare")
+	}
 }

@@ -97,10 +97,16 @@ func (a Allocation) Total() int {
 // highest level that fits are made in one pass (levelGrant); the heap
 // makes the rest, one at a time.
 func DRF(pool Pool, reqs []Request, held Allocation) Allocation {
+	f := drfFill(pool, reqs, held)
+	return f.allocation(true)
+}
+
+// drfFill runs DRF's fill and returns its working set.
+func drfFill(pool Pool, reqs []Request, held Allocation) flatFill {
 	f := newFlatFill(pool, reqs, held)
 	f.levelGrant()
 	progressiveFill(f.heap, len(reqs), f.drfKey, f.eligible, f.grantOne)
-	return f.allocation(true)
+	return f
 }
 
 // Parallelism answers the estimator's question directly: the steady-state

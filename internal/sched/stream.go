@@ -226,7 +226,7 @@ func RunStream(pool Pool, jobs []StreamJob, opt StreamOptions) StreamResult {
 			pred := a.job.Predicted
 			if opt.Hierarchy != nil && pred > 0 && a.job.Work > 0 {
 				// The reclaim victim order wants predicted *remaining* time —
-				// what EstimateRemaining returns at workflow granularity —
+				// what EstimateRemainingWith returns at workflow granularity —
 				// so scale the standalone prediction by the fraction left.
 				// The flat SPJF ordering keeps the static job-level
 				// prediction: equal predictions must degrade to FIFO exactly.

@@ -1,16 +1,50 @@
 package serve
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 
 	"boedag/internal/cachestore"
 )
 
 // snapshotFile is the on-disk name of the warm cache inside CacheDir.
 const snapshotFile = "estimate_cache.snap"
+
+// stampRequest is the canonical estimate behind modelStamp: small, and
+// answered by the same scenario, estimator and encoder as a request.
+const stampRequest = `{"workflow": "wc+ts", "options": {"mode": "normal", "micro_gb": 1}}`
+
+// modelStamp fingerprints the model behind the cached bodies: the
+// SHA-256 of stampRequest's response body, computed once per process.
+// Snapshots carry it, so a change to the estimator's numbers or to the
+// encoding that keeps the cache keys retires the snapshots an older
+// build wrote, with no version number to bump by hand.
+var modelStamp = sync.OnceValue(func() string {
+	req, apiErr := DecodeEstimateRequest(strings.NewReader(stampRequest))
+	if apiErr != nil {
+		panic("serve: stamp request: " + apiErr.Error())
+	}
+	flow, est, apiErr := (&Server{cfg: Config{}.withDefaults()}).scenario(req)
+	if apiErr != nil {
+		panic("serve: stamp request: " + apiErr.Error())
+	}
+	plan, err := est.Estimate(flow)
+	if err != nil {
+		panic("serve: stamp estimate: " + err.Error())
+	}
+	body, err := marshalBody(buildEstimateResponse(plan))
+	if err != nil {
+		panic("serve: stamp estimate: " + err.Error())
+	}
+	sum := sha256.Sum256(body)
+	return hex.EncodeToString(sum[:])
+})
 
 // SnapshotPath returns where the warm cache snapshot lives, or "" when no
 // CacheDir is configured.
@@ -22,9 +56,10 @@ func (s *Server) SnapshotPath() string {
 }
 
 // restoreCache warms the response cache from the CacheDir snapshot during
-// New. A missing snapshot is a clean cold start; a damaged one is counted
-// in cache_restore_failed and otherwise ignored — a bad warm cache must
-// never stop the daemon from booting. Only an unusable CacheDir (cannot
+// New. A missing snapshot is a clean cold start; a damaged one, or one
+// stamped by another model, is counted in cache_restore_failed and
+// otherwise ignored — a bad warm cache must never stop the daemon from
+// booting, and a stale one must never answer. Only an unusable CacheDir (cannot
 // be created) is a hard error, because the operator asked for durability
 // the server cannot provide.
 func (s *Server) restoreCache() error {
@@ -35,11 +70,11 @@ func (s *Server) restoreCache() error {
 	if err := os.MkdirAll(s.cfg.CacheDir, 0o755); err != nil {
 		return fmt.Errorf("serve: cache dir: %w", err)
 	}
-	entries, err := cachestore.Read(path)
+	stamp, entries, err := cachestore.ReadStamped(path)
 	switch {
 	case errors.Is(err, os.ErrNotExist):
 		return nil // first boot: nothing to restore
-	case err != nil:
+	case err != nil, stamp != modelStamp():
 		s.restoreFailed.Inc()
 		return nil
 	}
@@ -64,5 +99,5 @@ func (s *Server) SaveCacheSnapshot() error {
 		entries = append(entries, cachestore.Entry{Key: key, Val: val})
 		return true
 	})
-	return cachestore.Write(path, entries)
+	return cachestore.Write(path, modelStamp(), entries)
 }

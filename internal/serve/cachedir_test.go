@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"boedag/internal/cachestore"
 )
 
 // TestWarmRestart is the disk-backed cache's end-to-end contract: a
@@ -76,6 +78,43 @@ func TestRestoreCorruptSnapshot(t *testing.T) {
 	status, _, _ := post(t, ts.URL+"/v1/estimate", readRequest(t, "estimate_wc_ts"))
 	if status != http.StatusOK {
 		t.Errorf("cold-after-corruption request failed: %d", status)
+	}
+}
+
+// TestRestoreRejectsOtherModelStamp: a snapshot stamped by another
+// model restores nothing, counts as a failed restore, and the request
+// it held is computed afresh.
+func TestRestoreRejectsOtherModelStamp(t *testing.T) {
+	dir := t.TempDir()
+	body := readRequest(t, "estimate_wc_ts")
+	s1, ts1 := newTestServer(t, Config{CacheDir: dir})
+	if status, resp, _ := post(t, ts1.URL+"/v1/estimate", body); status != http.StatusOK {
+		t.Fatalf("status = %d: %s", status, resp)
+	}
+	if err := s1.SaveCacheSnapshot(); err != nil {
+		t.Fatalf("SaveCacheSnapshot: %v", err)
+	}
+	ts1.Close()
+	stamp, entries, err := cachestore.ReadStamped(s1.SnapshotPath())
+	if err != nil || stamp != modelStamp() || len(entries) != 1 {
+		t.Fatalf("saved snapshot: stamp %q (model %q), %d entries, err %v", stamp, modelStamp(), len(entries), err)
+	}
+	if err := cachestore.Write(s1.SnapshotPath(), "older-model", entries); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, ts2 := newTestServer(t, Config{CacheDir: dir})
+	if got := s2.Metrics().Counter("cache_restored_entries").Value(); got != 0 {
+		t.Errorf("restored %d entries of another model's snapshot", got)
+	}
+	if got := s2.Metrics().Counter("cache_restore_failed").Value(); got != 1 {
+		t.Errorf("cache_restore_failed = %d, want 1", got)
+	}
+	if status, resp, _ := post(t, ts2.URL+"/v1/estimate", body); status != http.StatusOK {
+		t.Fatalf("status = %d: %s", status, resp)
+	}
+	if got := s2.Metrics().Counter("estimates_computed").Value(); got != 1 {
+		t.Errorf("estimates_computed = %d, want 1", got)
 	}
 }
 

@@ -249,7 +249,7 @@ func New(cfg Config) (*Server, error) {
 	obs.SetMetricHelp("estimates_streamed", "Estimates served over SSE (stream=1).")
 	obs.SetMetricHelp("estimate_cache_evictions", "Response-cache entries evicted by the LRU size bound.")
 	obs.SetMetricHelp("cache_restored_entries", "Response-cache entries restored from the disk snapshot at boot.")
-	obs.SetMetricHelp("cache_restore_failed", "Snapshot restore attempts rejected (corrupt or unreadable file).")
+	obs.SetMetricHelp("cache_restore_failed", "Snapshot restore attempts rejected (corrupt, unreadable, or stamped by another model).")
 	obs.SetMetricHelp("route_key_memo_hits", "Sharded bodies keyed from the route memo without decoding.")
 	obs.SetMetricHelp("route_key_memo_misses", "Sharded bodies the route memo had not seen, decoded in full.")
 	if err := s.restoreCache(); err != nil {

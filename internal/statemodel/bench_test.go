@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"boedag/internal/dag"
+	"boedag/internal/synthdag"
 	"boedag/internal/units"
 	"boedag/internal/workload"
 )
@@ -35,6 +36,27 @@ func BenchmarkEstimatorAllocs(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := est.Estimate(flow); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDistinctEstimates is the prediction daemon's traffic shape:
+// the pooled Estimate over distinct synthetic DAGs, so a pooled scratch
+// does not see a workflow it has solved before and the dist cache's
+// bound, not its hits, sets what a run keeps. The cycle of 512 DAGs is
+// longer than a gate sample (256 estimates): exact repeats would not
+// reach the estimator in the daemon, whose response cache answers them.
+func BenchmarkDistinctEstimates(b *testing.B) {
+	flows := make([]*dag.Workflow, 512)
+	for i := range flows {
+		flows[i] = synthdag.Generate(synthdag.Config{Layers: 3 + i%4, Width: 6 + i%5, FanIn: 2, Seed: int64(i + 1)})
+	}
+	est := New(spec(), boeTimer(), Options{Mode: NormalMode})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := est.Estimate(flows[i%len(flows)]); err != nil {
 			b.Fatal(err)
 		}
 	}

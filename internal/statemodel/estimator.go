@@ -242,7 +242,7 @@ func (e *Estimator) distConf() (conf uint64, jobSensitive, cacheable bool) {
 }
 
 // run drives the state iteration over pre-initialized jobs (used by both
-// Estimate and EstimateRemaining); remaining counts jobs not yet done.
+// Estimate and EstimateRemainingWith); remaining counts jobs not yet done.
 //
 // The loop is Algorithm 1 with three structural changes that leave the
 // arithmetic — and therefore the emitted plan bytes — untouched:
@@ -279,7 +279,7 @@ func (e *Estimator) run(s *Scratch, w *dag.Workflow, remaining int) (*Plan, erro
 	}
 
 	// Jobs pre-submitted by the caller keep their orders; later submits
-	// continue the sequence. Pre-running jobs (EstimateRemaining) seed
+	// continue the sequence. Pre-running jobs (EstimateRemainingWith) seed
 	// the running list.
 	submitSeq := 0
 	for _, j := range s.ordered {
@@ -355,13 +355,13 @@ func (e *Estimator) run(s *Scratch, w *dag.Workflow, remaining int) (*Plan, erro
 				Order:    j.order,
 			}
 		}
-		grants := sched.GrantObserved(e.Opt.Policy, pool, reqs, nil, e.Opt.Observe, now)
+		s.grants = sched.GrantCounts(s.grants, e.Opt.Policy, pool, reqs, e.Opt.Observe, now)
 
 		delta := s.delta[:n]
 		for i, j := range running {
 			// The fluid model floors every running job at one container
 			// so progress never stalls.
-			d := max(grants[j.id], 1)
+			d := max(s.grants[i], 1)
 			delta[i] = d
 			j.lastDelta = d
 		}
@@ -420,17 +420,18 @@ func (e *Estimator) run(s *Scratch, w *dag.Workflow, remaining int) (*Plan, erro
 				if cacheable && hit[i] {
 					continue
 				}
-				if cacheable {
-					// An earlier index this iteration may have solved and
-					// cached the same (class, delta, environment) key —
-					// identical inputs, so its dist is bitwise reusable.
-					// This is what collapses a layer of templated jobs to
-					// one solve per profile class.
-					if d, ok := s.dc.get(keys[i]); ok {
-						dists[i] = d
-						reuses++
-						continue
-					}
+				if cacheable && i > 0 && keys[i] == keys[i-1] {
+					// The previous job has the same (class, delta,
+					// environment) key, so its dist, solved or reused just
+					// now, is bitwise this one. This is what collapses a
+					// layer of templated jobs to one solve per profile
+					// class. No other key of the iteration can match: the
+					// lookups above ran before any put, and the
+					// order-sensitive env hash makes two keys of one state
+					// equal only for adjacent identical groups.
+					dists[i] = dists[i-1]
+					reuses++
+					continue
 				}
 				var d TaskTimeDist
 				if onSolver {
@@ -479,11 +480,12 @@ func (e *Estimator) run(s *Scratch, w *dag.Workflow, remaining int) (*Plan, erro
 		if sigDirty {
 			sigDirty = false
 			if sig := stateSignature(running); sig != prevSig {
-				closeState(plan, now)
+				closeState(s.states, now)
 				prevSig = sig
 				st := StateEstimate{
-					Seq:         len(plan.States) + 1,
+					Seq:         len(s.states) + 1,
 					Start:       units.Seconds(now),
+					Running:     make([]string, 0, len(running)),
 					Parallelism: make(map[string]int, len(running)),
 					Bottleneck:  make(map[string]cluster.Resource, len(running)),
 				}
@@ -503,7 +505,7 @@ func (e *Estimator) run(s *Scratch, w *dag.Workflow, remaining int) (*Plan, erro
 					st.SlotShare = float64(granted) / float64(pool.Slots)
 				}
 				sort.Strings(st.Running)
-				plan.States = append(plan.States, st)
+				s.states = append(s.states, st)
 				if trOn {
 					e.Opt.Observe.Tracer.Emit(obs.Event{
 						Type: obs.EvEstimatorState, Time: now, Task: -1,
@@ -573,7 +575,12 @@ func (e *Estimator) run(s *Scratch, w *dag.Workflow, remaining int) (*Plan, erro
 			s.compactRunning()
 		}
 	}
-	closeState(plan, now)
+	closeState(s.states, now)
+	// The plan gets the states in a slice of its own, exactly sized, and
+	// the scratch keeps no reference to them.
+	plan.States = append([]StateEstimate(nil), s.states...)
+	clear(s.states)
+	s.states = s.states[:0]
 	if reg := e.Opt.Observe.Metrics; reg != nil {
 		reg.Counter("est_iterations").Add(iters)
 		reg.Counter("est_states").Add(int64(len(plan.States)))
@@ -595,6 +602,17 @@ func (e *Estimator) run(s *Scratch, w *dag.Workflow, remaining int) (*Plan, erro
 		}
 	}
 	plan.Makespan = units.Seconds(now)
+	stages := 0
+	for _, j := range s.ordered {
+		for _, seen := range j.seen {
+			if seen {
+				stages++
+			}
+		}
+	}
+	if stages > 0 {
+		plan.Stages = make([]StageEstimate, 0, stages)
+	}
 	for _, j := range s.ordered {
 		for _, st := range []workload.Stage{workload.Map, workload.Reduce} {
 			if j.seen[st] {
@@ -707,11 +725,11 @@ func stateSignature(running []*estJob) stateSig {
 	return stateSig{h: h, n: len(running)}
 }
 
-func closeState(plan *Plan, end float64) {
-	if len(plan.States) == 0 {
+func closeState(states []StateEstimate, end float64) {
+	if len(states) == 0 {
 		return
 	}
-	last := &plan.States[len(plan.States)-1]
+	last := &states[len(states)-1]
 	if last.End == 0 {
 		last.End = units.Seconds(end)
 	}

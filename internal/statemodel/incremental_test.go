@@ -153,7 +153,7 @@ func TestIncrementalMatchesFromScratchSynthetic(t *testing.T) {
 			}
 
 			snap := snapshotFromPlan(flow, ref, ref.Makespan/2)
-			_, refRem, err := newEstimator(mode, true).EstimateRemaining(flow, snap)
+			_, refRem, err := newEstimator(mode, true).EstimateRemainingWith(nil, flow, snap)
 			if err != nil {
 				t.Fatalf("%s/%s remaining from-scratch: %v", flow.Name, mode, err)
 			}

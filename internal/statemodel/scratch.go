@@ -21,14 +21,14 @@ import (
 // advanced snapshot of the same workflow re-solves only the states its
 // delta actually changed.
 //
-// Estimate and EstimateRemaining draw Scratches from an internal
-// sync.Pool, which covers evalpool workers, tuning sweeps, /v1/batch
-// fan-out and explain θ-sensitivity automatically. A pooled scratch
-// keeps its buffers and its dist cache, but the pool may hand a call any
-// scratch, so whether a call finds another's solved states is up to the
-// pool. Callers that want deterministic cross-call reuse (progress
-// indicators ticking the same workflow) hold their own via NewScratch
-// and the *With variants.
+// Estimate draws Scratches from an internal sync.Pool, which covers
+// evalpool workers, tuning sweeps, /v1/batch fan-out and explain
+// θ-sensitivity automatically. A pooled scratch keeps its buffers and
+// its dist cache (two generations at most, see distCache), but the pool
+// may hand a call any scratch, so whether a call finds another's solved
+// states is up to the pool. Callers that want deterministic cross-call
+// reuse (progress indicators ticking the same workflow) hold their own
+// via NewScratch and the *With variants.
 type Scratch struct {
 	slab    []estJob
 	jobs    map[string]*estJob
@@ -40,6 +40,7 @@ type Scratch struct {
 	heap []*estJob
 
 	reqs   []sched.Request
+	grants []int
 	groups []boe.TaskGroup
 	infos  []*boe.StageInfo
 	delta  []int
@@ -53,6 +54,9 @@ type Scratch struct {
 	// tasks backs EmpiricalMode's list-scheduling of the remaining
 	// stage tasks.
 	tasks []time.Duration
+	// states collects the run's plan states; the plan gets an exactly
+	// sized copy.
+	states []StateEstimate
 
 	dc distCache
 }
@@ -75,9 +79,12 @@ func (s *Scratch) reset(n int) {
 	}
 	s.slab = s.slab[:0]
 	clear(s.jobs)
+	s.dc.newRun()
 	s.ordered = s.ordered[:0]
 	s.running = s.running[:0]
 	s.heap = s.heap[:0]
+	clear(s.states) // a failed run's, still referenced
+	s.states = s.states[:0]
 	if cap(s.reqs) < n {
 		s.reqs = make([]sched.Request, 0, n)
 		s.groups = make([]boe.TaskGroup, 0, n)
@@ -212,28 +219,75 @@ type distKey struct {
 // stateSig, it trusts 64-bit FNV hashes as identity — the collision risk
 // is negligible next to the model's own error bars, and the equivalence
 // suite holds the incremental path to byte-identical output.
+//
+// The cache keeps two generations, sized by the reuse it gets. Within a
+// cold run, a hit is on a state solved at most a few hundred solves
+// back; across runs, a repeat estimate, a progress tick or a tuning
+// sweep needs the previous run's states. Solves go to young. When a
+// solve finds young holding at least distCacheFloor entries, some of
+// them put by an earlier run, young ages: it becomes old, and the
+// previous old is cleared and reused as the new young. A young that
+// reaches distCacheMax ages too. Lookups try young, then old; a hit in
+// old is put again into young, so what a run reads survives the next
+// aging. A run therefore keeps its own states and those of the run
+// before, a daemon's pooled scratch holds at most two generations, and
+// a warm scratch allocates no map per run.
 type distCache struct {
-	m map[distKey]TaskTimeDist
+	young, old map[distKey]TaskTimeDist
+	// carried reports that young holds entries put by an earlier run.
+	carried bool
 }
 
-// distCacheMax bounds the cache; a 10k-job run solves well under this
-// many distinct states, so in practice the wholesale clear never fires
-// mid-run.
+// distCacheFloor is the least a young generation holds before a later
+// run may age it. Chosen on the serve-cold benchmark against 1,024 and
+// 16,384 (EXPERIMENTS.md): a smaller floor holds fewer states per
+// pooled scratch, so the collector's heap goal falls and the latency
+// tail grows; a larger one gives back less of the memory.
+const distCacheFloor = 4096
+
+// distCacheMax bounds one generation. A cold synth-1k run solves about
+// 35,000 states and synth-10k about 570,000, so only the largest runs
+// age a generation by size, and their hits lie far closer than that.
 const distCacheMax = 1 << 17
 
+// newRun marks the entries in young as an earlier run's.
+func (c *distCache) newRun() { c.carried = len(c.young) > 0 }
+
 func (c *distCache) get(k distKey) (TaskTimeDist, bool) {
-	d, ok := c.m[k]
+	if d, ok := c.young[k]; ok {
+		return d, true
+	}
+	d, ok := c.old[k]
+	if ok {
+		c.insert(k, d)
+	}
 	return d, ok
 }
 
+// put stores a solved distribution, aging young first if it is full
+// enough and holds an earlier run's states.
 func (c *distCache) put(k distKey, d TaskTimeDist) {
-	if c.m == nil {
-		c.m = make(map[distKey]TaskTimeDist, 256)
+	if c.carried && len(c.young) >= distCacheFloor {
+		c.age()
 	}
-	if len(c.m) >= distCacheMax {
-		clear(c.m)
+	c.insert(k, d)
+}
+
+func (c *distCache) insert(k distKey, d TaskTimeDist) {
+	if len(c.young) >= distCacheMax {
+		c.age()
 	}
-	c.m[k] = d
+	if c.young == nil {
+		c.young = make(map[distKey]TaskTimeDist, 256)
+	}
+	c.young[k] = d
+}
+
+// age turns young into old and the cleared old into young.
+func (c *distCache) age() {
+	clear(c.old)
+	c.young, c.old = c.old, c.young
+	c.carried = false
 }
 
 // FNV-1a, the same constants the state signature uses.

@@ -60,25 +60,15 @@ type Snapshot struct {
 	Jobs    map[string]JobSnapshot
 }
 
-// EstimateRemaining predicts how much longer the workflow will run from
-// the snapshotted state, using the same state-based iteration as
+// EstimateRemainingWith predicts how much longer the workflow will run
+// from the snapshotted state, using the same state-based iteration as
 // Estimate. In-flight tasks are assumed half done on average. The
 // returned plan's clock starts at zero = the snapshot instant.
 //
-// Scratch memory comes from an internal pool; progress indicators that
-// tick the same workflow should hold a Scratch of their own and call
-// EstimateRemainingWith, so consecutive ticks are guaranteed to hit the
-// same warm dist cache and re-solve only the states the snapshot delta
-// touched.
-func (e *Estimator) EstimateRemaining(w *dag.Workflow, snap Snapshot) (time.Duration, *Plan, error) {
-	s := scratchPool.Get().(*Scratch)
-	defer scratchPool.Put(s)
-	return e.EstimateRemainingWith(s, w, snap)
-}
-
-// EstimateRemainingWith is EstimateRemaining running on the given
-// scratch arena. The scratch must not be shared with a concurrent run;
-// nil falls back to a fresh arena.
+// It runs on the given scratch arena, which must not be shared with a
+// concurrent run; nil falls back to a fresh arena. Progress indicators
+// that tick the same workflow hold one scratch across ticks, so each
+// tick re-solves only the states its snapshot delta touched.
 func (e *Estimator) EstimateRemainingWith(s *Scratch, w *dag.Workflow, snap Snapshot) (time.Duration, *Plan, error) {
 	if s == nil {
 		s = NewScratch()

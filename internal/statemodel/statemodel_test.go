@@ -324,7 +324,7 @@ func TestEstimateRemainingDirect(t *testing.T) {
 	snap := Snapshot{Jobs: map[string]JobSnapshot{
 		"WC/WC": {Phase: JobMapping, TasksDone: 80, TasksRunning: 40, RunningProgress: 0.5},
 	}}
-	left, plan, err := est.EstimateRemaining(flow, snap)
+	left, plan, err := est.EstimateRemainingWith(nil, flow, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestEstimateRemainingDirect(t *testing.T) {
 		"WC/WC": {Phase: JobFinished},
 		"TS/TS": {Phase: JobFinished},
 	}}
-	left, _, err = est.EstimateRemaining(flow, done)
+	left, _, err = est.EstimateRemainingWith(nil, flow, done)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestEstimateRemainingDirect(t *testing.T) {
 		"WC/WC": {Phase: JobFinished},
 		"TS/TS": {Phase: JobReducing, TasksDone: 10, TasksRunning: 56},
 	}}
-	left2, _, err := est.EstimateRemaining(flow, reducing)
+	left2, _, err := est.EstimateRemainingWith(nil, flow, reducing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,10 +365,10 @@ func TestEstimateRemainingDirect(t *testing.T) {
 	bad := Snapshot{Jobs: map[string]JobSnapshot{
 		"WC/WC": {Phase: JobMapping, TasksDone: 1 << 20},
 	}}
-	if _, _, err := est.EstimateRemaining(flow, bad); err == nil {
+	if _, _, err := est.EstimateRemainingWith(nil, flow, bad); err == nil {
 		t.Error("over-done snapshot accepted")
 	}
-	if _, _, err := est.EstimateRemaining(&dag.Workflow{Name: "x"}, Snapshot{}); err == nil {
+	if _, _, err := est.EstimateRemainingWith(nil, &dag.Workflow{Name: "x"}, Snapshot{}); err == nil {
 		t.Error("invalid workflow accepted")
 	}
 }

@@ -9,7 +9,9 @@
 #
 # Each -benchtime is a fixed iteration count sized so one sample takes
 # about half a second, long enough to be stable; the estimates that take
-# longer than that on their own run once per sample. The five samples of
+# longer than that on their own run once per sample. BenchmarkExplainDistinct
+# runs 4000 explanations (about 1.3 s) so that anything a request leaves
+# behind in the server fills its 1,024-entry bound and shows in ns/op. The five samples of
 # a benchmark are taken in five rounds over the whole set rather than
 # back to back, so a burst of load from elsewhere on the machine slows
 # one sample of each benchmark instead of all five of one. The test
@@ -19,7 +21,7 @@ cd "$(dirname "$0")/.."
 
 bin=$(mktemp -d)
 trap 'rm -rf "$bin"' EXIT
-for pkg in . internal/statemodel internal/sched internal/fleet; do
+for pkg in . internal/statemodel internal/sched internal/fleet internal/serve; do
     go test -c -o "$bin/${pkg//\//_}.test" "./$pkg"
 done
 
@@ -39,4 +41,5 @@ for _ in 1 2 3 4 5; do
     sample internal/sched 'BenchmarkHierarchicalAllocate$' 3500x
     sample internal/sched 'BenchmarkStreamPolicySweep$' 6x
     sample internal/fleet 'BenchmarkFleetEstimate$' 2000x
+    sample internal/serve 'BenchmarkExplainDistinct$' 4000x
 done

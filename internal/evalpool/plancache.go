@@ -19,14 +19,6 @@ func NewPlanCache() *PlanCache {
 	return &PlanCache{c: NewCache[*statemodel.Plan]()}
 }
 
-// WithCapacity bounds the cache to at most n plans, evicting the least
-// recently used beyond that (n <= 0 leaves it unbounded), and returns
-// the cache.
-func (pc *PlanCache) WithCapacity(n int) *PlanCache {
-	pc.c.WithCapacity(n)
-	return pc
-}
-
 // WithMetrics exports plan_cache_hits / plan_cache_misses counters.
 func (pc *PlanCache) WithMetrics(reg *obs.Registry) *PlanCache {
 	pc.c.WithMetrics(reg, "plan_cache")
@@ -45,9 +37,6 @@ func (pc *PlanCache) Estimate(est *statemodel.Estimator, w *dag.Workflow) (*stat
 
 // Stats returns hit/miss counts.
 func (pc *PlanCache) Stats() (hits, misses int64) { return pc.c.Stats() }
-
-// Len reports how many distinct plans are cached.
-func (pc *PlanCache) Len() int { return pc.c.Len() }
 
 // ResultCache memoizes simulation results by the canonical ResultKey —
 // sweeps that re-measure a shared baseline configuration (Figure 6's

@@ -166,7 +166,9 @@ type Options struct {
 	NoSensitivity bool
 	// Cache, when set, memoizes the base and perturbed plans across
 	// calls through the single-flight plan cache, so repeated
-	// explanations of the same scenario re-run nothing.
+	// explanations of the same scenario re-run nothing. The prediction
+	// daemon passes none: its response cache answers a repeat, and
+	// distinct explanations share no plan.
 	Cache *evalpool.PlanCache
 }
 

@@ -36,7 +36,8 @@ func scaleRate(spec cluster.Spec, r cluster.Resource, f float64) cluster.Spec {
 // perturbed runs fan out through evalpool (input-ordered, so the table
 // is deterministic at any worker count) and, when Options.Cache is set,
 // memoize through the single-flight plan cache so repeated explanations
-// of the same scenario re-run nothing.
+// of the same scenario re-run nothing. Without a cache (the daemon's
+// case) the perturbed plans are dropped once their makespans are read.
 func sensitivity(ctx context.Context, est *statemodel.Estimator, flow *dag.Workflow, plan *statemodel.Plan, opt Options) ([]Sensitivity, error) {
 	bt, ok := est.Timer.(*statemodel.BOETimer)
 	if !ok {

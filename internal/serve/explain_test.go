@@ -5,6 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"runtime/metrics"
+	"strings"
 	"sync"
 	"testing"
 
@@ -109,37 +113,37 @@ func TestExplainMatchesLibrary(t *testing.T) {
 	}
 }
 
-// TestExplainReusesPlanCache: explaining two scenarios that share θ
-// perturbations only re-runs what is new, and a repeat explanation of
-// the first scenario (after the response cache is bypassed with a
-// distinct-but-equivalent request) hits the plan cache.
-func TestExplainPlanCacheAcrossRequests(t *testing.T) {
+// TestExplainRepeatHitsResponseCache: a repeated explanation is answered
+// from the response cache, so the explanation runs once and the second
+// request is a cache hit.
+func TestExplainRepeatHitsResponseCache(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 4})
 	body := readRequest(t, "explain_wc_ts")
-	if status, b, _ := post(t, ts.URL+"/v1/explain", body); status != http.StatusOK {
-		t.Fatalf("status %d: %s", status, b)
+	status, first, _ := post(t, ts.URL+"/v1/explain", body)
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, first)
 	}
-	hits0, misses0 := s.plans.Stats()
-	if misses0 == 0 {
-		t.Fatal("first explanation did not populate the plan cache")
+	hits0 := counter(t, s, "estimate_cache_hits")
+	status, again, _ := post(t, ts.URL+"/v1/explain", body)
+	if status != http.StatusOK {
+		t.Fatalf("repeat: status %d: %s", status, again)
 	}
-	// The same scenario again: the response cache answers, the plan cache
-	// sees nothing new.
-	if status, b, _ := post(t, ts.URL+"/v1/explain", body); status != http.StatusOK {
-		t.Fatalf("status %d: %s", status, b)
+	if !bytes.Equal(again, first) {
+		t.Error("repeat explanation's bytes differ from the first")
 	}
-	if hits, misses := s.plans.Stats(); hits != hits0 || misses != misses0 {
-		t.Errorf("repeat explanation touched the plan cache: %d/%d -> %d/%d",
-			hits0, misses0, hits, misses)
+	if got := counter(t, s, "estimate_cache_hits"); got != hits0+1 {
+		t.Errorf("estimate_cache_hits %d -> %d, want +1", hits0, got)
+	}
+	if got := counter(t, s, "explains_computed"); got != 1 {
+		t.Errorf("explains_computed = %d, want 1", got)
 	}
 }
 
-// TestExplainPlanCacheBounded: the plan cache shares the response cache's
-// size bound, so explaining more distinct scenarios than the bound keeps
-// at most that many plans — and evicting plans changes no response byte.
-func TestExplainPlanCacheBounded(t *testing.T) {
+// TestExplainBoundedMatchesUnbounded: evicting explanations from a
+// bounded response cache changes no response byte.
+func TestExplainBoundedMatchesUnbounded(t *testing.T) {
 	const bound = 3
-	s, ts := newTestServer(t, Config{Workers: 2, CacheMaxEntries: bound})
+	_, ts := newTestServer(t, Config{Workers: 2, CacheMaxEntries: bound})
 	_, unbounded := newTestServer(t, Config{Workers: 2, CacheMaxEntries: -1})
 	for gb := 1; gb <= bound+1; gb++ {
 		body := []byte(fmt.Sprintf(`{"workflow": "wc+ts", "options": {"micro_gb": %d}}`, gb))
@@ -150,8 +154,61 @@ func TestExplainPlanCacheBounded(t *testing.T) {
 		if _, want, _ := post(t, unbounded.URL+"/v1/explain", body); !bytes.Equal(got, want) {
 			t.Errorf("micro_gb %d: bounded server's explanation diverges from the unbounded one's", gb)
 		}
-		if n := s.plans.Len(); n > bound {
-			t.Errorf("after %d scenarios the plan cache holds %d plans, bound %d", gb, n, bound)
+	}
+}
+
+// maxScanPerExplain bounds the scannable heap one distinct explanation
+// leaves behind in a server whose response cache holds it. The cache
+// entry and the route memo entry cost about 200 bytes (the response
+// bytes themselves hold no pointers); keeping the explanation's base and
+// θ-perturbed plans as well costs about 2.7 KB.
+const maxScanPerExplain = 1 << 10
+
+// TestExplainRetainsNoPlans: serving distinct explanations grows the
+// scannable heap by what the response cache and the route memo keep,
+// not by the estimator plans behind each response. It reads the
+// process-wide heap, so it must not run in parallel with other tests.
+func TestExplainRetainsNoPlans(t *testing.T) {
+	const n = 1024
+	explainOnce := func(h http.Handler, gb int) {
+		t.Helper()
+		body := fmt.Sprintf(`{"workflow": "wc+ts", "options": {"micro_gb": %d}}`, gb)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/explain", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("micro_gb %d: status %d: %s", gb, rec.Code, rec.Body.Bytes())
 		}
 	}
+	// A throwaway server first, so one-time process set-up is not counted.
+	warm, err := New(Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	explainOnce(warm.Handler(), n+1)
+
+	s, err := New(Config{Workers: 2, CacheMaxEntries: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := scannableHeap()
+	for gb := 1; gb <= n; gb++ {
+		explainOnce(s.Handler(), gb)
+	}
+	after := scannableHeap()
+	runtime.KeepAlive(s)
+	per := (int64(after) - int64(before)) / n
+	t.Logf("scannable heap %d -> %d bytes: %d bytes per explanation", before, after, per)
+	if per > maxScanPerExplain {
+		t.Errorf("each explanation leaves %d scannable bytes, want at most %d: is the server keeping plans?", per, maxScanPerExplain)
+	}
+}
+
+// scannableHeap collects twice, so pooled objects are gone too, and
+// returns the scannable heap the collector measured.
+func scannableHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	sample := []metrics.Sample{{Name: "/gc/scan/heap:bytes"}}
+	metrics.Read(sample)
+	return sample[0].Value.Uint64()
 }

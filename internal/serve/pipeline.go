@@ -100,10 +100,10 @@ func (s *Server) scenarioCall(path string, req *EstimateRequest) (*call, *APIErr
 	}
 	c := &call{ep: s.endpoints[path], key: key, timeoutMS: req.Options.TimeoutMS}
 	if path == pathExplain {
-		// The plan cache memoizes the base and θ-perturbed plans across
-		// requests; overlapping explanations re-run only what it lacks.
+		// No plan cache: a repeat is a response-cache hit and distinct
+		// explains share no plan, so the plans are dropped once built.
 		c.compute = func(ctx context.Context) (any, error) {
-			return explain.Explain(ctx, est, flow, explain.Options{Workers: s.cfg.Workers, Cache: s.plans})
+			return explain.Explain(ctx, est, flow, explain.Options{Workers: s.cfg.Workers})
 		}
 		return c, nil
 	}

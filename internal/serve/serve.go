@@ -148,11 +148,6 @@ type Server struct {
 	mux   *http.ServeMux
 	reg   *obs.Registry
 	cache *evalpool.Cache[[]byte]
-	// plans memoizes estimator plans across /v1/explain requests: the
-	// base plan and every θ-perturbed re-run coalesce through it, so
-	// repeated explanations re-run nothing. It shares the response
-	// cache's size bound.
-	plans *evalpool.PlanCache
 	// routes remembers each keyed body's shard key and timeout
 	// (routememo.go). It shares the response cache's size bound.
 	routes *routeMemo
@@ -209,7 +204,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:    cfg,
 		reg:    reg,
 		cache:  evalpool.NewCache[[]byte]().WithCapacity(capacity).WithMetrics(reg, "estimate_cache"),
-		plans:  evalpool.NewPlanCache().WithCapacity(capacity).WithMetrics(reg),
 		routes: newRouteMemo(memoLimit),
 		start:  time.Now(),
 		slots:  make(chan struct{}, cfg.MaxConcurrent),

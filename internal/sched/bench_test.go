@@ -45,7 +45,7 @@ func benchHierarchy(b *testing.B) *Hierarchy {
 }
 
 // benchRequests spreads n jobs across the tree's leaves with varied
-// shapes, gangs, and predictions, plus a held allocation that puts the
+// shapes and predictions, plus a held allocation that puts the
 // pool over quota so the reclaim phase does real work.
 func benchRequests(n int) ([]Request, Allocation) {
 	r := &benchRand{s: 99}
@@ -61,9 +61,6 @@ func benchRequests(n int) ([]Request, Allocation) {
 			Order:     i,
 			Queue:     fmt.Sprintf("%s-%d", tenant, i%4),
 			Predicted: float64(10 + r.Intn(600)),
-		}
-		if i%7 == 0 {
-			reqs[i].Gang = 2
 		}
 		if tenant != "prod" && i%2 == 0 {
 			held[reqs[i].JobID] = 1 + r.Intn(3)

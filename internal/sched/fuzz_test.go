@@ -10,12 +10,12 @@ import (
 
 // FuzzHierarchyAllocate drives AllocateHierarchy with a generator
 // scenario (the property-suite corpus seeds it) plus a raw mutation
-// stream that patches pools, quotas, limits, weights, gangs, holdings,
-// and queue names — including nonsense values far outside the valid
+// stream that patches pools, quotas, limits, weights, holdings, and
+// queue names — including nonsense values far outside the valid
 // envelope. The contract under fuzz: never panic, never loop forever;
 // and whenever the mutated input is still well-formed, the full
 // hierarchical invariant suite must hold (grants ≤ pending, allocation
-// ≤ capacity, limits, gangs, evictions ⊆ held).
+// ≤ capacity, limits, evictions ⊆ held).
 func FuzzHierarchyAllocate(f *testing.F) {
 	for seed := int64(0); seed < 24; seed++ {
 		f.Add(seed, []byte(nil))
@@ -65,9 +65,7 @@ func mutate(s *schedtest.Scenario, raw []byte) {
 				s.Requests[idx%len(s.Requests)].Cap = val - 64
 			}
 		case 5:
-			if len(s.Requests) > 0 {
-				s.Requests[idx%len(s.Requests)].Gang = val - 64
-			}
+			// Once a gang size; a no-op, so existing inputs keep their meaning.
 		case 6:
 			if len(s.Requests) > 0 {
 				s.Requests[idx%len(s.Requests)].Queue = fmt.Sprintf("q%d", val%8)
@@ -104,17 +102,12 @@ func mutate(s *schedtest.Scenario, raw []byte) {
 // allocator input (the envelope the invariant checks are stated over).
 func sane(s schedtest.Scenario) bool {
 	for _, q := range s.Requests {
-		if q.MemoryMB < 0 || q.VCores < 0 || q.Pending < 0 || q.Cap < 0 || q.Gang < 0 {
+		if q.MemoryMB < 0 || q.VCores < 0 || q.Pending < 0 || q.Cap < 0 {
 			return false
 		}
 	}
 	if s.Pool.MemoryMB < 0 || s.Pool.VCores < 0 || s.Pool.Slots < 0 {
 		return false
-	}
-	for _, sp := range s.Specs {
-		if sp.Quota.Slots < 0 || sp.Limit.Slots < 0 {
-			return false
-		}
 	}
 	// Held must be consistent: non-negative, within caps, within the pool.
 	mem, cpu, slots := 0, 0, 0

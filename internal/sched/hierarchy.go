@@ -25,15 +25,14 @@ import (
 //     estimator-guided rule; without predictions, youngest submission
 //     first). Intra-quota work is never evicted.
 //
-// Gang admission is enforced after every phase: a job that declares
-// Gang=g either holds at least g containers or none, all-or-nothing.
-//
-// The whole thing is a pure deterministic function shared — like flat
-// DRF before it — by the ground-truth simulator and the state-model
-// estimator, so both sides of every experiment schedule identically.
+// The whole thing is a pure deterministic function of its inputs. Its
+// one caller is RunStream, the multi-tenant stream simulator behind
+// /v1/schedule and the scheduling study, which preempts the running
+// tasks it is told to evict.
 
 // QueueLimit bounds one queue's resources. A zero component is
-// unlimited; a zero value as a Quota means "no guarantee".
+// unlimited; a zero value as a Quota means "no guarantee". Components
+// are never negative (NewHierarchy rejects them).
 type QueueLimit struct {
 	MemoryMB int
 	VCores   int
@@ -42,6 +41,9 @@ type QueueLimit struct {
 
 // zero reports whether no component is set.
 func (q QueueLimit) zero() bool { return q.MemoryMB == 0 && q.VCores == 0 && q.Slots == 0 }
+
+// negative reports whether some component is below zero.
+func (q QueueLimit) negative() bool { return q.MemoryMB < 0 || q.VCores < 0 || q.Slots < 0 }
 
 // QueueSpec declares one queue of the hierarchy.
 type QueueSpec struct {
@@ -62,8 +64,7 @@ type QueueSpec struct {
 
 // queueNode is one resolved queue. Nodes carry no mutable state:
 // usage accumulators live in the per-call hierState (indexed by id), so
-// one Hierarchy may serve concurrent AllocateHierarchy calls — the
-// estimator and simulator share hierarchies across evalpool workers.
+// one Hierarchy may serve concurrent AllocateHierarchy calls.
 type queueNode struct {
 	spec   QueueSpec
 	parent *queueNode
@@ -84,7 +85,8 @@ type Hierarchy struct {
 
 // NewHierarchy validates the queue specs into a tree: names must be
 // unique and non-empty, parents must exist (declaration order is free),
-// weights must be non-negative, and the parent links must be acyclic.
+// weights and every quota and limit component must be non-negative, and
+// the parent links must be acyclic.
 func NewHierarchy(specs []QueueSpec) (*Hierarchy, error) {
 	root := &queueNode{weight: 1}
 	h := &Hierarchy{nodes: map[string]*queueNode{"": root}, root: root}
@@ -97,6 +99,9 @@ func NewHierarchy(specs []QueueSpec) (*Hierarchy, error) {
 		}
 		if sp.Weight < 0 {
 			return nil, fmt.Errorf("sched: queue %q: negative weight", sp.Name)
+		}
+		if sp.Quota.negative() || sp.Limit.negative() {
+			return nil, fmt.Errorf("sched: queue %q: negative quota or limit", sp.Name)
 		}
 		h.nodes[sp.Name] = &queueNode{spec: sp}
 	}
@@ -155,18 +160,6 @@ func (h *Hierarchy) QueueNames() []string {
 	return names
 }
 
-// Specs returns the declared queue specs in sorted-name order — the
-// canonical form cache keys and wire encodings hash (two hierarchies
-// with equal Specs allocate identically).
-func (h *Hierarchy) Specs() []QueueSpec {
-	names := h.QueueNames()
-	specs := make([]QueueSpec, len(names))
-	for i, name := range names {
-		specs[i] = h.nodes[name].spec
-	}
-	return specs
-}
-
 // String renders the tree compactly (diagnostics and test labels).
 func (h *Hierarchy) String() string {
 	var b strings.Builder
@@ -195,15 +188,16 @@ type HierResult struct {
 	// Grants maps JobID to newly granted containers (held excluded).
 	Grants Allocation
 	// Evict maps JobID to held containers the scheduler reclaims: the
-	// caller (the simulator) must preempt that many of the job's running
-	// tasks. Empty without held over-quota work.
+	// caller must preempt that many of the job's running tasks (RunStream
+	// counts them as the job's Preemptions). Empty without held
+	// over-quota work.
 	Evict Allocation
 }
 
 // hierState is the per-call working set of AllocateHierarchy. Per-job
 // state is indexed by request index; idx lists the request indices in
 // JobID order (the fills' ranks, and the deterministic scan order of
-// reclaim and gang enforcement).
+// reclaim).
 type hierState struct {
 	h     *Hierarchy
 	pool  Pool
@@ -214,9 +208,6 @@ type hierState struct {
 	grant, held, evict []int
 	idx                []int
 	heap               []int // fill scratch
-	// banned marks jobs zeroed by gang enforcement: once a gang fails,
-	// the job sits out the rest of the call (termination guarantee).
-	banned []bool
 	// qmem/qcpu/qslots accumulate per-queue subtree usage, indexed by
 	// queueNode.id; mem/cpu/slots track the whole pool.
 	qmem, qcpu, qslots []int
@@ -225,7 +216,7 @@ type hierState struct {
 
 // AllocateHierarchy grants containers under the queue hierarchy. A nil
 // hierarchy degenerates to flat DRF over an unlimited root — the same
-// grants DRF returns (gang enforcement aside). held lists containers
+// grants DRF returns. held lists containers
 // jobs already hold; they count toward usage and may be reclaimed (see
 // HierResult.Evict) when guaranteed queues are starved.
 func AllocateHierarchy(pool Pool, h *Hierarchy, reqs []Request, held Allocation) HierResult {
@@ -270,13 +261,12 @@ func AllocateHierarchy(pool Pool, h *Hierarchy, reqs []Request, held Allocation)
 			break
 		}
 	}
-	s.enforceGangs()
 	return s.result()
 }
 
 // result builds the HierResult maps. Grants has an entry per job that
-// held containers at the call or was ever granted one (a gang-zeroed
-// job keeps its zero entry); Evict is nil when nothing was evicted.
+// held containers at the call or was granted one; Evict is nil when
+// nothing was evicted.
 func (s *hierState) result() HierResult {
 	granted, evicted := 0, 0
 	for i := range s.reqs {
@@ -303,9 +293,9 @@ func (s *hierState) result() HierResult {
 }
 
 // listed reports whether job i has a Grants entry: it held containers
-// at the call (held + evicted), holds a grant, or lost one to its gang.
+// at the call (held + evicted) or holds a grant.
 func (s *hierState) listed(i int) bool {
-	return s.held[i]+s.evict[i] != 0 || s.grant[i] > 0 || s.banned != nil && s.banned[i]
+	return s.held[i]+s.evict[i] != 0 || s.grant[i] > 0
 }
 
 // flatHierarchy is the nil-hierarchy degenerate: one unlimited root.
@@ -335,13 +325,10 @@ func (s *hierState) have(i int) int {
 	return s.grant[i] + s.held[i]
 }
 
-// wants reports whether job i still demands a container: pending unmet,
-// cap unreached, and not banned by a failed gang.
+// wants reports whether job i still demands a container: pending unmet
+// and cap unreached.
 func (s *hierState) wants(i int) bool {
 	r := s.reqs[i]
-	if s.banned != nil && s.banned[i] {
-		return false
-	}
 	if s.grant[i] >= r.Pending {
 		return false
 	}
@@ -417,7 +404,7 @@ func (s *hierState) quotaHeadroom(node *queueNode, r Request) bool {
 // chains with quota headroom and ranks by plain dominant share; the
 // over-quota phase admits everyone within limits and ranks by
 // weight-normalized share. Eligibility only shrinks within a phase:
-// banned is fixed, and grants, pool usage and queue usage only grow.
+// grants, pool usage and queue usage only grow.
 func (s *hierState) fill(inQuota bool) {
 	progressiveFill(s.heap, len(s.idx), func(k int) float64 {
 		i := s.idx[k]
@@ -517,35 +504,6 @@ func victimLess(a, b Request) bool {
 		return b.Order > a.Order
 	}
 	return b.JobID < a.JobID
-}
-
-// enforceGangs zeroes any job granted fewer total containers than its
-// gang minimum, bans it for the rest of the call, and re-offers the
-// freed capacity — iterating to a fixpoint (a zeroed gang can unblock
-// another gang). The ban guarantees termination: each round either
-// converges or permanently retires at least one job.
-func (s *hierState) enforceGangs() {
-	for {
-		changed := false
-		for _, i := range s.idx {
-			r := s.reqs[i]
-			if r.Gang <= 0 || s.grant[i] == 0 || s.have(i) >= r.Gang {
-				continue
-			}
-			s.charge(s.nodes[i], r, -s.grant[i])
-			s.grant[i] = 0
-			if s.banned == nil {
-				s.banned = make([]bool, len(s.reqs))
-			}
-			s.banned[i] = true
-			changed = true
-		}
-		if !changed {
-			return
-		}
-		s.fill(true)
-		s.fill(false)
-	}
 }
 
 // hasGuarantee reports whether some queue on the chain (the root aside)

@@ -19,7 +19,6 @@ func TestMetamorphicSingleJob(t *testing.T) {
 		r := schedtest.New(seed)
 		s := r.Scenario()
 		s.Requests = s.Requests[:1]
-		s.Requests[0].Gang = 0
 		held := sched.Allocation{}
 		for id, h := range s.Held {
 			if id == s.Requests[0].JobID {
@@ -51,9 +50,6 @@ func TestMetamorphicInfiniteCapacity(t *testing.T) {
 	for seed := int64(0); seed < 100; seed++ {
 		r := schedtest.New(seed)
 		s := r.Scenario()
-		for i := range s.Requests {
-			s.Requests[i].Gang = 0
-		}
 		mem, cpu, slots := 0, 0, 0
 		for _, q := range s.Requests {
 			n := q.Pending + s.Held[q.JobID]
@@ -99,18 +95,13 @@ func TestMetamorphicSPJFDegradesToFIFO(t *testing.T) {
 
 // TestMetamorphicHierarchyDegradesToDRF: a nil hierarchy, and a
 // hierarchy whose queues declare no quotas, limits, or distinct weights,
-// must reproduce flat DRF exactly (no gangs in play).
+// must reproduce flat DRF exactly.
 func TestMetamorphicHierarchyDegradesToDRF(t *testing.T) {
 	for seed := int64(0); seed < 100; seed++ {
 		r := schedtest.New(seed)
 		s := r.Scenario()
-		reqs := make([]sched.Request, len(s.Requests))
-		for i, q := range s.Requests {
-			q.Gang = 0
-			reqs[i] = q
-		}
-		ref := sched.DRF(s.Pool, reqs, s.Held)
-		flat := sched.AllocateHierarchy(s.Pool, nil, reqs, s.Held)
+		ref := sched.DRF(s.Pool, s.Requests, s.Held)
+		flat := sched.AllocateHierarchy(s.Pool, nil, s.Requests, s.Held)
 		if flat.Evict != nil || !allocEqual(ref, flat.Grants) {
 			t.Fatalf("seed %d: nil hierarchy != DRF", seed)
 		}
@@ -126,7 +117,7 @@ func TestMetamorphicHierarchyDegradesToDRF(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		neutered := sched.AllocateHierarchy(s.Pool, h, reqs, s.Held)
+		neutered := sched.AllocateHierarchy(s.Pool, h, s.Requests, s.Held)
 		if neutered.Evict != nil || !allocEqual(ref, neutered.Grants) {
 			t.Fatalf("seed %d: neutered hierarchy != DRF:\n  %s\n  %s", seed,
 				schedtest.FormatAllocation(neutered.Grants), schedtest.FormatAllocation(ref))
@@ -212,7 +203,6 @@ func stripQueues(reqs []sched.Request) []sched.Request {
 	out := make([]sched.Request, len(reqs))
 	for i, r := range reqs {
 		r.Queue = ""
-		r.Gang = 0
 		out[i] = r
 	}
 	return out

@@ -40,7 +40,7 @@ func TestPropertyFlatPolicies(t *testing.T) {
 
 // TestPropertyHierarchyInvariants: the hierarchical allocator respects
 // the full contract — basics net of evictions, evictions only from held,
-// chain hard limits, gang all-or-nothing — across random queue trees.
+// and chain hard limits — across random queue trees.
 func TestPropertyHierarchyInvariants(t *testing.T) {
 	for seed := int64(0); seed < propertySeeds*2; seed++ {
 		r := schedtest.New(seed)
@@ -53,17 +53,12 @@ func TestPropertyHierarchyInvariants(t *testing.T) {
 }
 
 // TestPropertyQuotaSafeEviction: preemption never cuts into guaranteed
-// work. Gang-free scenarios (gang zeroing happens after reclaim, so it
-// can legitimately shrink usage below the quota line the eviction was
-// judged against).
+// work.
 func TestPropertyQuotaSafeEviction(t *testing.T) {
 	evictions := 0
 	for seed := int64(0); seed < propertySeeds*2; seed++ {
 		r := schedtest.New(seed)
 		s := r.Scenario()
-		for i := range s.Requests {
-			s.Requests[i].Gang = 0
-		}
 		res := sched.AllocateHierarchy(s.Pool, s.Hierarchy, s.Requests, s.Held)
 		evictions += len(res.Evict)
 		if err := schedtest.CheckQuotaSafeEviction(s, res); err != nil {
@@ -76,7 +71,7 @@ func TestPropertyQuotaSafeEviction(t *testing.T) {
 }
 
 // TestPropertyWorkConservationHierarchy: with hard limits stripped, the
-// hierarchical allocator leaves no fitting non-gang demand unmet (quotas
+// hierarchical allocator leaves no fitting demand unmet (quotas
 // are guarantees, not caps — they must never idle capacity).
 func TestPropertyWorkConservationHierarchy(t *testing.T) {
 	for seed := int64(0); seed < propertySeeds; seed++ {
@@ -97,7 +92,6 @@ func TestPropertyWorkConservationHierarchy(t *testing.T) {
 		for id, h := range s.Held {
 			net[id] = h - res.Evict[id]
 		}
-		// Banned gangs are exempt via CheckWorkConservation's Gang skip.
 		if err := schedtest.CheckWorkConservation(s.Pool, s.Requests, net, res.Grants); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -114,7 +108,6 @@ func TestPropertyDRFOrdering(t *testing.T) {
 		for i := range s.Requests {
 			s.Requests[i].MemoryMB = 2048
 			s.Requests[i].VCores = 1
-			s.Requests[i].Gang = 0
 		}
 		grant := sched.DRF(s.Pool, s.Requests, s.Held)
 		have := func(id string) int { return grant[id] + s.Held[id] }

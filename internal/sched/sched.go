@@ -30,10 +30,6 @@ type Request struct {
 	// Queue names the job's leaf queue in the hierarchy ("" = root/flat).
 	// Only AllocateHierarchy consults it.
 	Queue string
-	// Gang is the all-or-nothing minimum: a job holding fewer than Gang
-	// containers after allocation holds none (0 = no gang constraint).
-	// Only AllocateHierarchy enforces it.
-	Gang int
 	// Predicted is the estimator's predicted (remaining) runtime in
 	// seconds, consumed by PolicySPJF ordering and the hierarchical
 	// reclaim victim order. Zero means "no prediction".

@@ -57,10 +57,8 @@ func CheckGrants(pool sched.Pool, reqs []sched.Request, held, grant sched.Alloca
 	return nil
 }
 
-// CheckWorkConservation asserts no capacity sits idle while a flat
-// (non-gang) request still wants a container that would fit. Gang jobs
-// are exempt: an all-or-nothing job may legitimately hold zero while
-// capacity is free.
+// CheckWorkConservation asserts no capacity sits idle while a request
+// still wants a container that would fit.
 func CheckWorkConservation(pool sched.Pool, reqs []sched.Request, held, grant sched.Allocation) error {
 	mem, cpu, slots := 0, 0, 0
 	for _, r := range reqs {
@@ -70,9 +68,6 @@ func CheckWorkConservation(pool sched.Pool, reqs []sched.Request, held, grant sc
 		slots += n
 	}
 	for _, r := range reqs {
-		if r.Gang > 0 {
-			continue
-		}
 		g := grant[r.JobID]
 		if g >= r.Pending {
 			continue
@@ -119,7 +114,7 @@ func chain(specs []sched.QueueSpec, queue string) []sched.QueueSpec {
 // CheckHierarchy asserts the hierarchical contract over a full result:
 // the CheckGrants basics net of evictions, evictions only of held
 // containers (and none at all without a hierarchy), chain hard limits
-// respected by the final usage, and gang all-or-nothing.
+// respected by the final usage.
 func CheckHierarchy(s Scenario, res sched.HierResult) error {
 	// Net holdings: held − evicted (evictions free capacity).
 	net := sched.Allocation{}
@@ -176,13 +171,6 @@ func CheckHierarchy(s Scenario, res sched.HierResult) error {
 			return fmt.Errorf("queue %s: slots %d over limit %d", sp.Name, u[2], sp.Limit.Slots)
 		}
 	}
-	// Gang all-or-nothing over newly granted jobs (held-only jobs predate
-	// the gang decision and are the simulator's to reconcile).
-	for _, r := range s.Requests {
-		if r.Gang > 0 && res.Grants[r.JobID] > 0 && res.Grants[r.JobID]+net[r.JobID] < r.Gang {
-			return fmt.Errorf("job %s: partial gang %d < %d", r.JobID, res.Grants[r.JobID]+net[r.JobID], r.Gang)
-		}
-	}
 	return nil
 }
 
@@ -192,9 +180,7 @@ func CheckHierarchy(s Scenario, res sched.HierResult) error {
 // by definition, even under a quota'd parent — the allocator's
 // quotaHeadroom semantics). So for every evicted job, either some chain
 // queue lacks a quota, or restoring one container would push some chain
-// queue over its quota. Only meaningful for gang-free scenarios: gang
-// zeroing after reclaim can shrink a chain's usage below the quota line
-// the eviction was judged against.
+// queue over its quota.
 func CheckQuotaSafeEviction(s Scenario, res sched.HierResult) error {
 	usage := map[string][3]int{}
 	for _, r := range s.Requests {

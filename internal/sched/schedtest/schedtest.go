@@ -90,7 +90,7 @@ func (r *Rand) queueSpec(name, parent string, pool sched.Pool) sched.QueueSpec {
 
 // Requests draws n job requests shaped like the estimator's: container
 // sizes from the usual YARN grid, pending counts spanning under- and
-// over-subscription, occasional caps, gangs, and predictions. Queue
+// over-subscription, occasional caps, and predictions. Queue
 // names reference the given specs (some requests stay at the root).
 func (r *Rand) Requests(n int, specs []sched.QueueSpec) []sched.Request {
 	reqs := make([]sched.Request, n)
@@ -106,7 +106,7 @@ func (r *Rand) Requests(n int, specs []sched.QueueSpec) []sched.Request {
 			reqs[i].Cap = 1 + r.Intn(32)
 		}
 		if r.Intn(5) == 0 {
-			reqs[i].Gang = 1 + r.Intn(8)
+			r.Intn(8) // a retired draw (gang sizes), kept so every seeded corpus stays the same
 		}
 		if r.Intn(2) == 0 {
 			reqs[i].Predicted = 10 + 990*r.Float64()

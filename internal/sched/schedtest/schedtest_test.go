@@ -101,13 +101,6 @@ func TestHierarchyChecksRejectViolations(t *testing.T) {
 		!strings.Contains(err.Error(), "flat") {
 		t.Errorf("flat eviction not caught: %v", err)
 	}
-	gang := s
-	gang.Requests = []sched.Request{{JobID: "a", MemoryMB: 1024, VCores: 1, Pending: 10, Gang: 3, Queue: "q"}}
-	gang.Held = nil
-	if err := CheckHierarchy(gang, sched.HierResult{Grants: sched.Allocation{"a": 2}}); err == nil ||
-		!strings.Contains(err.Error(), "gang") {
-		t.Errorf("partial gang not caught: %v", err)
-	}
 	// Quota-safe eviction: evicting the only container of a fully
 	// quota-protected job must be flagged.
 	prot := s

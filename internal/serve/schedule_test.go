@@ -34,6 +34,7 @@ func TestScheduleConformance(t *testing.T) {
 		{"schedule_bad_policy", http.StatusBadRequest, CodeBadRequest},
 		{"schedule_empty", http.StatusBadRequest, CodeBadRequest},
 		{"schedule_dup_job", http.StatusBadRequest, CodeBadRequest},
+		{"schedule_negative_quota", http.StatusBadRequest, CodeBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

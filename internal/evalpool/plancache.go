@@ -65,9 +65,3 @@ func (rc *ResultCache) Run(spec cluster.Spec, opt simulator.Options, w *dag.Work
 		return simulator.New(spec, opt).Run(w)
 	})
 }
-
-// Stats returns hit/miss counts.
-func (rc *ResultCache) Stats() (hits, misses int64) { return rc.c.Stats() }
-
-// Len reports how many distinct results are cached.
-func (rc *ResultCache) Len() int { return rc.c.Len() }

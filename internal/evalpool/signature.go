@@ -65,9 +65,6 @@ func (h *Hasher) Bool(v bool) {
 // Dur hashes a duration field.
 func (h *Hasher) Dur(d time.Duration) { h.Int(int64(d)) }
 
-// Sum returns the accumulated hash.
-func (h *Hasher) Sum() uint64 { return h.h }
-
 // Key renders the accumulated hash as a compact cache key.
 func (h *Hasher) Key() string { return strconv.FormatUint(h.h, 16) }
 

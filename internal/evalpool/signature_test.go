@@ -95,7 +95,7 @@ func TestHasherFieldSeparator(t *testing.T) {
 	h1.Str("c")
 	h2.Str("a")
 	h2.Str("bc")
-	if h1.Sum() == h2.Sum() {
+	if h1.Key() == h2.Key() {
 		t.Error("field separator failed: adjacent fields aliased")
 	}
 }
@@ -129,7 +129,7 @@ func TestResultCacheMemoizesAndMissesAcrossSeeds(t *testing.T) {
 	if r1 != r2 {
 		t.Error("identical run was not served from the cache")
 	}
-	if hits, misses := cache.Stats(); hits != 1 || misses != 1 {
+	if hits, misses := cache.c.Stats(); hits != 1 || misses != 1 {
 		t.Errorf("stats = %d hits / %d misses, want 1/1", hits, misses)
 	}
 
@@ -141,7 +141,7 @@ func TestResultCacheMemoizesAndMissesAcrossSeeds(t *testing.T) {
 	if r3 == r1 {
 		t.Error("different seed was served the cached result")
 	}
-	if hits, misses := cache.Stats(); hits != 1 || misses != 2 {
+	if hits, misses := cache.c.Stats(); hits != 1 || misses != 2 {
 		t.Errorf("stats after seed change = %d hits / %d misses, want 1/2", hits, misses)
 	}
 }

@@ -65,6 +65,10 @@ func (d *MutableDirectory) URL(nodeID string) (string, bool) {
 	return u, ok
 }
 
+// maxHops bounds how many owners a sharded request tries before the
+// node computes it locally: the owner and one fallback.
+const maxHops = 2
+
 // Config describes one fleet node.
 type Config struct {
 	// NodeID is this node's identity on the ring (required).
@@ -75,9 +79,6 @@ type Config struct {
 	// Directory resolves peer IDs to URLs (required for fleets larger
 	// than one node).
 	Directory Directory
-	// MaxHops bounds how many owners are tried before the node computes
-	// locally: the owner plus MaxHops-1 fallbacks (default 2).
-	MaxHops int
 	// RetryBackoff is the pause before each retry after a failed forward
 	// (default 25ms).
 	RetryBackoff time.Duration
@@ -95,9 +96,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if !slices.Contains(c.Peers, c.NodeID) {
 		return c, fmt.Errorf("fleet: NodeID %q is not in Peers", c.NodeID)
-	}
-	if c.MaxHops <= 0 {
-		c.MaxHops = 2
 	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 25 * time.Millisecond
@@ -161,12 +159,6 @@ func NewNode(srv *serve.Server, cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// Ring exposes the node's ring (read-only) for tests and tooling.
-func (n *Node) Ring() *Ring { return n.ring }
-
-// Metrics returns the registry holding the fleet_* counters.
-func (n *Node) Metrics() *obs.Registry { return n.srv.Metrics() }
-
 // Handler returns the fleet front end: shard routing over the wrapped
 // server's own handler.
 func (n *Node) Handler() http.Handler {
@@ -199,7 +191,7 @@ func (n *Node) Handler() http.Handler {
 			local.ServeHTTP(w, lr)
 			return
 		}
-		owners := n.ring.Owners(key, n.cfg.MaxHops)
+		owners := n.ring.Owners(key, maxHops)
 		for i, owner := range owners {
 			if owner == n.cfg.NodeID {
 				n.localServed.Inc()

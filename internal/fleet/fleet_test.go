@@ -177,10 +177,10 @@ func TestFleetForwardedHeader(t *testing.T) {
 		if v := reg.Counter("estimates_computed").Value(); v != 1 {
 			t.Errorf("node %d computed %d times, want 1 (local serve of forwarded request)", i, v)
 		}
-		if v := n.Node.Metrics().Counter("fleet_forwarded").Value(); v != 0 {
+		if v := n.Server.Metrics().Counter("fleet_forwarded").Value(); v != 0 {
 			t.Errorf("node %d forwarded %d requests, want 0", i, v)
 		}
-		if v := n.Node.Metrics().Counter("fleet_received").Value(); v != 1 {
+		if v := n.Server.Metrics().Counter("fleet_received").Value(); v != 1 {
 			t.Errorf("node %d counted %d received forwards, want 1", i, v)
 		}
 	}
@@ -222,7 +222,7 @@ func TestFleetPartitionDegradesLocal(t *testing.T) {
 			t.Fatalf("size %d: status %d: %s", i+1, status, resp)
 		}
 	}
-	reg := c.Nodes[0].Node.Metrics()
+	reg := c.Nodes[0].Server.Metrics()
 	if v := reg.Counter("fleet_fallback_local").Value(); v == 0 {
 		t.Errorf("no fallback-local serves recorded on the surviving node")
 	}
@@ -238,6 +238,7 @@ func TestFleetBackoffHonoursCancel(t *testing.T) {
 
 	// Find a scenario whose dead owner node1 is tried first and whose
 	// fallback is the other live peer, so the entry node0 must back off.
+	ring := testRing(t, 3)
 	var body []byte
 	for i := 1; body == nil; i++ {
 		candidate := []byte(fmt.Sprintf(`{"workflow": "wc", "options": {"micro_gb": %d}}`, i))
@@ -245,7 +246,7 @@ func TestFleetBackoffHonoursCancel(t *testing.T) {
 		if !ok {
 			t.Fatalf("no route key for candidate %d", i)
 		}
-		if owners := c.Nodes[0].Node.Ring().Owners(key, 2); owners[0] == "node1" && owners[1] == "node2" {
+		if owners := ring.Owners(key, 2); owners[0] == "node1" && owners[1] == "node2" {
 			body = candidate
 		}
 		if i > 256 {
@@ -261,7 +262,7 @@ func TestFleetBackoffHonoursCancel(t *testing.T) {
 	if d := time.Since(start); d >= backoff {
 		t.Errorf("cancelled request took %v, want less than the %v backoff", d, backoff)
 	}
-	if v := c.Nodes[0].Node.Metrics().Counter("fleet_fallback_local").Value(); v != 0 {
+	if v := c.Nodes[0].Server.Metrics().Counter("fleet_fallback_local").Value(); v != 0 {
 		t.Errorf("cancelled request fell back to local compute %d times, want 0", v)
 	}
 	for i, n := range c.Nodes {
@@ -282,6 +283,7 @@ func TestFleetWarmRestart(t *testing.T) {
 	})
 
 	// Find a scenario owned by node 1 so its cache is the one that matters.
+	ring := testRing(t, 3)
 	var body []byte
 	for i := 1; ; i++ {
 		candidate := []byte(fmt.Sprintf(`{"workflow": "wc+ts", "options": {"micro_gb": %d}}`, i))
@@ -289,7 +291,7 @@ func TestFleetWarmRestart(t *testing.T) {
 		if !ok {
 			t.Fatalf("no route key for candidate %d", i)
 		}
-		if c.Nodes[0].Node.Ring().Owner(key) == "node1" {
+		if ring.Owners(key, 1)[0] == "node1" {
 			body = candidate
 			break
 		}
@@ -377,7 +379,7 @@ func TestFleetNonShardedStaysLocal(t *testing.T) {
 		if err := json.Unmarshal(body, &out); err != nil || len(out.Results) != 1 {
 			t.Errorf("batch node %d: bad response %s", i, body)
 		}
-		if v := c.Nodes[i].Node.Metrics().Counter("fleet_forwarded").Value(); v != 0 {
+		if v := c.Nodes[i].Server.Metrics().Counter("fleet_forwarded").Value(); v != 0 {
 			t.Errorf("node %d forwarded a non-sharded request", i)
 		}
 	}
@@ -433,4 +435,19 @@ func TestFleetBodyTooLarge(t *testing.T) {
 			t.Errorf("forwarded=%v: read %d body bytes, limit %d", forwarded, body.n, limit)
 		}
 	}
+}
+
+// testRing builds the ring every node of an n-node fleettest cluster
+// routes by: its node IDs at the default virtual-node count.
+func testRing(t *testing.T, n int) *fleet.Ring {
+	t.Helper()
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("node%d", i)
+	}
+	r, err := fleet.NewRing(ids, fleet.DefaultVirtualNodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }

@@ -25,8 +25,7 @@ type Options struct {
 	ServeConfig serve.Config
 	// CacheDirs, when non-nil, maps node index to that node's CacheDir.
 	CacheDirs map[int]string
-	// MaxHops and RetryBackoff pass through to fleet.Config.
-	MaxHops      int
+	// RetryBackoff passes through to fleet.Config.
 	RetryBackoff time.Duration
 }
 
@@ -85,7 +84,6 @@ func (c *Cluster) startNode(i int) *TestNode {
 		NodeID:       nodeID(i),
 		Peers:        c.peers,
 		Directory:    c.dir,
-		MaxHops:      c.opts.MaxHops,
 		RetryBackoff: c.opts.RetryBackoff,
 	})
 	if err != nil {

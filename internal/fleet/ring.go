@@ -101,9 +101,6 @@ func NewRing(nodes []string, vnodes int) (*Ring, error) {
 	return r, nil
 }
 
-// Owner returns the node owning key.
-func (r *Ring) Owner(key string) string { return r.points[r.search(key)].node }
-
 // Owners returns up to n distinct nodes for key: the owner first, then
 // the fallback sequence walking the ring clockwise — the same order every
 // replica computes, so retries converge on the same fallback.

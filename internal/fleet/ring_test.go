@@ -61,7 +61,7 @@ func TestRingRebalance(t *testing.T) {
 
 				moved := 0
 				for _, key := range keys {
-					oldOwner, newOwner := before.Owner(key), after.Owner(key)
+					oldOwner, newOwner := before.Owners(key, 1)[0], after.Owners(key, 1)[0]
 					if oldOwner == newOwner {
 						continue
 					}
@@ -85,9 +85,9 @@ func TestRingRebalance(t *testing.T) {
 				// Leave is the mirror image: removing the node we just added
 				// must disturb only the keys it owned.
 				for _, key := range keys {
-					if after.Owner(key) != joined && before.Owner(key) != after.Owner(key) {
+					if after.Owners(key, 1)[0] != joined && before.Owners(key, 1)[0] != after.Owners(key, 1)[0] {
 						t.Fatalf("key %s owned by %s changed owner on leave of %s",
-							key, after.Owner(key), joined)
+							key, after.Owners(key, 1)[0], joined)
 					}
 				}
 			})
@@ -105,7 +105,7 @@ func TestRingDistribution(t *testing.T) {
 		r := mustRing(t, nodeSet(n))
 		counts := make(map[string]int)
 		for _, key := range keys {
-			counts[r.Owner(key)]++
+			counts[r.Owners(key, 1)[0]]++
 		}
 		if len(counts) != n {
 			t.Fatalf("n=%d: only %d nodes own keys: %v", n, len(counts), counts)
@@ -129,8 +129,8 @@ func TestRingOwners(t *testing.T) {
 		if len(owners) != 3 {
 			t.Fatalf("Owners(%s, 3) = %v", key, owners)
 		}
-		if owners[0] != r.Owner(key) {
-			t.Fatalf("Owners(%s)[0] = %s, Owner = %s", key, owners[0], r.Owner(key))
+		if owner := r.Owners(key, 1)[0]; owners[0] != owner {
+			t.Fatalf("Owners(%s, 3)[0] = %s, Owners(%s, 1)[0] = %s", key, owners[0], key, owner)
 		}
 		seen := map[string]bool{}
 		for _, o := range owners {

@@ -237,20 +237,6 @@ func (r *Recorder) Events() []Event {
 	return append([]Event(nil), r.events...)
 }
 
-// Len reports how many events were recorded.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.events)
-}
-
-// Reset drops all recorded events, keeping capacity.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	r.events = r.events[:0]
-	r.mu.Unlock()
-}
-
 // ByType returns the recorded events of one type, in emission order.
 func (r *Recorder) ByType(t EventType) []Event {
 	r.mu.Lock()

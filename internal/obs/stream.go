@@ -39,7 +39,7 @@ const DefaultSubscriberBuffer = 4096
 // allocation-free disabled path — emit sites never even build the Event.
 //
 // Delivery is non-blocking under both drop policies; a slow consumer
-// loses events (counted per subscriber via Drops) instead of stalling the
+// loses events (counted per subscriber in drops) instead of stalling the
 // producer. Safe for concurrent use by any number of producers,
 // subscribers, and consumers.
 type Stream struct {
@@ -144,13 +144,6 @@ type Subscriber struct {
 // stream after a run flushes the tail of the event sequence.
 func (u *Subscriber) Events() <-chan Event { return u.ch }
 
-// Drops reports how many events were discarded because the buffer was
-// full — the observable cost of being a slow consumer.
-func (u *Subscriber) Drops() int64 { return u.drops.Load() }
-
-// Policy returns the subscriber's drop policy.
-func (u *Subscriber) Policy() DropPolicy { return u.policy }
-
 // Close detaches the subscriber from its stream and closes the channel.
 // Idempotent; safe to call concurrently with the stream's Emit/Close.
 func (u *Subscriber) Close() {
@@ -174,7 +167,7 @@ func (u *Subscriber) deliver(ev Event) {
 		// Evict one buffered event, then retry once. A concurrent producer
 		// may steal the freed slot, losing both the evicted event and ours;
 		// counting the eviction separately keeps the global invariant exact:
-		// events consumed + Drops() == events emitted, under any number of
+		// events consumed + drops == events emitted, under any number of
 		// concurrent producers and consumers.
 		evicted := false
 		select {

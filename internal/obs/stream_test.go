@@ -71,8 +71,8 @@ func TestStreamDropNewest(t *testing.T) {
 func TestStreamDropOldest(t *testing.T) {
 	s := NewStream()
 	sub := s.SubscribeWith(2, DropOldest)
-	if sub.Policy() != DropOldest {
-		t.Fatalf("policy = %v", sub.Policy())
+	if sub.policy != DropOldest {
+		t.Fatalf("policy = %v", sub.policy)
 	}
 	for i := 0; i < 5; i++ {
 		s.Emit(Event{Seq: i})
@@ -205,8 +205,8 @@ func TestTee(t *testing.T) {
 		t.Error("tee with a recorder reports disabled")
 	}
 	both.Emit(Event{Type: EvStateOpen, Seq: 7})
-	if rec.Len() != 1 {
-		t.Errorf("recorder saw %d events, want 1", rec.Len())
+	if n := len(rec.Events()); n != 1 {
+		t.Errorf("recorder saw %d events, want 1", n)
 	}
 	ev := <-sub.Events()
 	if ev.Seq != 7 {

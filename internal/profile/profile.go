@@ -62,9 +62,8 @@ func (p StageProfile) StdDev() time.Duration {
 	return time.Duration(math.Sqrt(ss/float64(n-1)) * float64(time.Second))
 }
 
-// Quantile returns the q-quantile task time, q in [0,1].
-func (p StageProfile) Quantile(q float64) time.Duration { return quantile(p.TaskTimes, q) }
-
+// quantile returns the q-quantile of ts (q clamped to [0,1]) by linear
+// interpolation between order statistics; ts is left unsorted.
 func quantile(ts []time.Duration, q float64) time.Duration {
 	n := len(ts)
 	if n == 0 {

@@ -82,12 +82,11 @@ func TestQuantile(t *testing.T) {
 		{0.25, 2 * time.Second},
 	}
 	for _, c := range cases {
-		if got := p.Quantile(c.q); got != c.want {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
+		if got := quantile(p.TaskTimes, c.q); got != c.want {
+			t.Errorf("quantile(%v) = %v, want %v", c.q, got, c.want)
 		}
 	}
-	var empty StageProfile
-	if empty.Quantile(0.5) != 0 {
+	if quantile(nil, 0.5) != 0 {
 		t.Error("empty quantile not zero")
 	}
 }
@@ -95,7 +94,7 @@ func TestQuantile(t *testing.T) {
 func TestQuantileDoesNotMutate(t *testing.T) {
 	p := StageProfile{TaskTimes: []time.Duration{3 * time.Second, 1 * time.Second, 2 * time.Second}}
 	before := append([]time.Duration(nil), p.TaskTimes...)
-	p.Quantile(0.5)
+	quantile(p.TaskTimes, 0.5)
 	p.Median()
 	if !reflect.DeepEqual(before, p.TaskTimes) {
 		t.Error("quantile computation reordered the profile")

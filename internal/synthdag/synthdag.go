@@ -57,12 +57,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Jobs is the total job count, Layers × Width.
-func (c Config) Jobs() int {
-	c = c.withDefaults()
-	return c.Layers * c.Width
-}
-
 // Name renders the canonical registry name, e.g. "synth-l100-w100-f3-s1".
 func (c Config) Name() string {
 	c = c.withDefaults()

@@ -96,11 +96,11 @@ func TestNameParseRoundTrip(t *testing.T) {
 			t.Fatalf("Parse(%q) = %+v, want %+v", c.Name(), got, c.withDefaults())
 		}
 	}
-	if c, ok := Parse("synth-10k"); !ok || c.Jobs() != 10000 {
-		t.Fatalf("synth-10k: ok=%v jobs=%d, want 10000", ok, c.Jobs())
+	if c, ok := Parse("synth-10k"); !ok || c.Layers*c.Width != 10000 {
+		t.Fatalf("synth-10k: ok=%v jobs=%d, want 10000", ok, c.Layers*c.Width)
 	}
-	if c, ok := Parse("synth-1k"); !ok || c.Jobs() != 1000 {
-		t.Fatalf("synth-1k: ok=%v jobs=%d, want 1000", ok, c.Jobs())
+	if c, ok := Parse("synth-1k"); !ok || c.Layers*c.Width != 1000 {
+		t.Fatalf("synth-1k: ok=%v jobs=%d, want 1000", ok, c.Layers*c.Width)
 	}
 	for _, bad := range []string{"wc", "synth-", "synth-x3", "synth-l0-w5", "synth-l5-w0", "synth-lq", "synth-l", "tpch-q1"} {
 		if _, ok := Parse(bad); ok {

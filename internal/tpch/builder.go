@@ -17,9 +17,6 @@ type Rel struct {
 	bytes units.Bytes
 }
 
-// Bytes returns the relation's estimated size.
-func (r Rel) Bytes() units.Bytes { return r.bytes }
-
 // builder accumulates the MapReduce jobs a query plan compiles to,
 // mirroring how Hive emits one job per shuffle boundary.
 type builder struct {

@@ -28,21 +28,17 @@ const (
 	Region   Table = "region"
 )
 
-// tableStats holds per-scale-factor statistics: bytes and rows of each
-// table per unit scale factor (SF 1 ≈ 1 GB total), from the TPC-H
-// specification's dbgen output sizes.
-var tableStats = map[Table]struct {
-	bytesPerSF units.Bytes
-	rowsPerSF  int64
-}{
-	Lineitem: {759 * units.MB, 6_001_215},
-	Orders:   {171 * units.MB, 1_500_000},
-	Partsupp: {118 * units.MB, 800_000},
-	Part:     {24 * units.MB, 200_000},
-	Customer: {24 * units.MB, 150_000},
-	Supplier: {1400 * units.KB, 10_000},
-	Nation:   {2 * units.KB, 25},
-	Region:   {1 * units.KB, 5},
+// tableBytes holds each table's size per unit scale factor (SF 1 ≈ 1 GB
+// total), from the TPC-H specification's dbgen output sizes.
+var tableBytes = map[Table]units.Bytes{
+	Lineitem: 759 * units.MB,
+	Orders:   171 * units.MB,
+	Partsupp: 118 * units.MB,
+	Part:     24 * units.MB,
+	Customer: 24 * units.MB,
+	Supplier: 1400 * units.KB,
+	Nation:   2 * units.KB,
+	Region:   1 * units.KB,
 }
 
 // Schema is a TPC-H database instance at a given scale factor.
@@ -58,32 +54,20 @@ func PaperSchema() Schema { return Schema{ScaleFactor: 80} }
 // Bytes returns the on-disk size of a table at this scale factor.
 // Nation and region do not scale with SF; everything else does.
 func (s Schema) Bytes(t Table) units.Bytes {
-	st, ok := tableStats[t]
+	perSF, ok := tableBytes[t]
 	if !ok {
 		return 0
 	}
 	if t == Nation || t == Region {
-		return st.bytesPerSF
+		return perSF
 	}
-	return st.bytesPerSF.Scale(s.ScaleFactor)
-}
-
-// Rows returns the row count of a table at this scale factor.
-func (s Schema) Rows(t Table) int64 {
-	st, ok := tableStats[t]
-	if !ok {
-		return 0
-	}
-	if t == Nation || t == Region {
-		return st.rowsPerSF
-	}
-	return int64(float64(st.rowsPerSF) * s.ScaleFactor)
+	return perSF.Scale(s.ScaleFactor)
 }
 
 // TotalBytes is the size of the whole instance.
 func (s Schema) TotalBytes() units.Bytes {
 	var sum units.Bytes
-	for t := range tableStats {
+	for t := range tableBytes {
 		sum += s.Bytes(t)
 	}
 	return sum

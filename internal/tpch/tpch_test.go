@@ -44,26 +44,20 @@ func TestTableSizesScale(t *testing.T) {
 	if one.Bytes(Nation) != ten.Bytes(Nation) {
 		t.Error("nation scaled with SF")
 	}
-	if one.Rows(Region) != ten.Rows(Region) {
-		t.Error("region rows scaled with SF")
-	}
-	if got := ten.Rows(Orders); got != 15_000_000 {
-		t.Errorf("orders rows at SF10 = %d, want 15M", got)
+	if one.Bytes(Region) != ten.Bytes(Region) {
+		t.Error("region scaled with SF")
 	}
 	if got := one.Bytes(Table("bogus")); got != 0 {
 		t.Errorf("unknown table bytes = %v", got)
-	}
-	if got := one.Rows(Table("bogus")); got != 0 {
-		t.Errorf("unknown table rows = %v", got)
 	}
 }
 
 func TestLineitemDominates(t *testing.T) {
 	s := Schema{ScaleFactor: 1}
-	if len(tableStats) != 8 {
-		t.Fatalf("schema has %d tables, want 8", len(tableStats))
+	if len(tableBytes) != 8 {
+		t.Fatalf("schema has %d tables, want 8", len(tableBytes))
 	}
-	for tb := range tableStats {
+	for tb := range tableBytes {
 		if tb != Lineitem && s.Bytes(tb) >= s.Bytes(Lineitem) {
 			t.Errorf("%s (%v) is not smaller than lineitem (%v)", tb, s.Bytes(tb), s.Bytes(Lineitem))
 		}
@@ -186,16 +180,16 @@ func TestBuilderRelBytesPropagate(t *testing.T) {
 	s := Schema{ScaleFactor: 1}
 	b := newBuilder(s, "t")
 	li := b.table(Lineitem)
-	if li.Bytes() != s.Bytes(Lineitem) {
-		t.Errorf("table rel bytes = %v", li.Bytes())
+	if li.bytes != s.Bytes(Lineitem) {
+		t.Errorf("table rel bytes = %v", li.bytes)
 	}
 	agg := b.scanAgg(li, 0.5, 0.5, 1.0)
 	if agg.id == "" {
 		t.Error("job rel has no producer id")
 	}
-	want := li.Bytes().Scale(0.5 * 0.5)
-	if math.Abs(float64(agg.Bytes()-want))/float64(want) > 0.01 {
-		t.Errorf("scanAgg output = %v, want %v", agg.Bytes(), want)
+	want := li.bytes.Scale(0.5 * 0.5)
+	if math.Abs(float64(agg.bytes-want))/float64(want) > 0.01 {
+		t.Errorf("scanAgg output = %v, want %v", agg.bytes, want)
 	}
 	// join depends on both producers.
 	j := b.join(agg, b.table(Orders), 1.0, 0.2)
@@ -207,7 +201,7 @@ func TestBuilderRelBytesPropagate(t *testing.T) {
 	if len(last.Deps) != 1 || last.Deps[0] != agg.id {
 		t.Errorf("join deps = %v, want [%s]", last.Deps, agg.id)
 	}
-	if j.Bytes() <= 0 {
+	if j.bytes <= 0 {
 		t.Error("join output empty")
 	}
 }
@@ -222,7 +216,7 @@ func TestMapJoinIsMapOnly(t *testing.T) {
 	if flow.Jobs[0].Profile.ReduceTasks != 0 {
 		t.Error("map join has reducers")
 	}
-	if out.Bytes() <= 0 {
+	if out.bytes <= 0 {
 		t.Error("map join output empty")
 	}
 }

@@ -2,11 +2,9 @@ package workload
 
 import "boedag/internal/units"
 
-// Default sizing shared by the micro-benchmarks (paper §V-A: 100 GB input
-// for Word Count and TeraSort, 128 MB HDFS splits, one reduce wave on the
-// eleven-node cluster).
+// Default sizing shared by the micro-benchmarks (paper §V-A: 128 MB HDFS
+// splits, one reduce wave on the eleven-node cluster).
 const (
-	microInput   = 100 * units.GB
 	defaultSplit = 128 * units.MB
 	microReduces = 66 // 6 cores × 11 nodes: one full reduce wave
 )
@@ -76,6 +74,3 @@ func TeraSort2R(input units.Bytes) JobProfile {
 func TeraSort3R(input units.Bytes) JobProfile {
 	return teraSort("TS3R", input, 3, Compression{})
 }
-
-// MicroInput is the paper's 100 GB micro-benchmark input size.
-func MicroInput() units.Bytes { return microInput }

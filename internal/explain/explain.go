@@ -162,8 +162,6 @@ type Options struct {
 	// per cluster resource class). Results are order-deterministic at any
 	// value.
 	Workers int
-	// NoSensitivity skips the θ perturbation re-runs.
-	NoSensitivity bool
 	// Cache, when set, memoizes the base and perturbed plans across
 	// calls through the single-flight plan cache, so repeated
 	// explanations of the same scenario re-run nothing. The prediction
@@ -199,8 +197,8 @@ func Explain(ctx context.Context, est *statemodel.Estimator, flow *dag.Workflow,
 }
 
 // ExplainPlan explains an already-computed plan of (est, flow) without
-// re-running the base estimate. The θ-sensitivity runs still execute
-// (unless disabled) with each cluster rate perturbed by ε.
+// re-running the base estimate. The θ-sensitivity runs still execute,
+// with each cluster rate perturbed by ε.
 func ExplainPlan(ctx context.Context, est *statemodel.Estimator, flow *dag.Workflow, plan *statemodel.Plan, opt Options) (*Explanation, error) {
 	opt = opt.withDefaults()
 	e := &Explanation{
@@ -212,13 +210,11 @@ func ExplainPlan(ctx context.Context, est *statemodel.Estimator, flow *dag.Workf
 	e.Resources = resourceShares(plan)
 	e.Jobs = jobShares(plan.Makespan, e.CriticalPath)
 	e.States = stateUtils(plan)
-	if !opt.NoSensitivity {
-		sens, err := sensitivity(ctx, est, flow, plan, opt)
-		if err != nil {
-			return nil, err
-		}
-		e.Sensitivity = sens
+	sens, err := sensitivity(ctx, est, flow, plan, opt)
+	if err != nil {
+		return nil, err
 	}
+	e.Sensitivity = sens
 	return e, nil
 }
 

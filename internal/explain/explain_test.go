@@ -44,10 +44,14 @@ func TestCriticalPathExactAcrossRegistry(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			e, err := Explain(context.Background(), est, flow, Options{NoSensitivity: true})
+			// The attribution alone: the θ-sensitivity re-runs have
+			// their own test.
+			plan, err := est.Estimate(flow)
 			if err != nil {
-				t.Fatalf("explain: %v", err)
+				t.Fatalf("estimate: %v", err)
 			}
+			e := &Explanation{Makespan: plan.Makespan, CriticalPath: criticalPath(plan, flow), Resources: resourceShares(plan)}
+			e.Jobs = jobShares(plan.Makespan, e.CriticalPath)
 			if e.Makespan <= 0 {
 				t.Fatalf("makespan = %v", e.Makespan)
 			}

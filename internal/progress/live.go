@@ -15,25 +15,18 @@ type LiveOptions struct {
 	// re-estimate, individual task finishes only after this much model time
 	// has passed since the last estimate. ≤ 0 means the 5 s default.
 	MinInterval time.Duration
-	// Buffer is the subscriber channel capacity Follow uses. Size it to
-	// the expected event count of the run to avoid drops (a dropped event
-	// skews the live task counts until the next stage boundary resets
-	// them). ≤ 0 means 65536.
-	Buffer int
 }
+
+// followBuffer is the subscriber channel capacity Follow uses: room for
+// a run's events, since a dropped event skews the live task counts until
+// the next stage boundary resets them.
+const followBuffer = 1 << 16
 
 func (o LiveOptions) minInterval() float64 {
 	if o.MinInterval <= 0 {
 		return 5.0
 	}
 	return o.MinInterval.Seconds()
-}
-
-func (o LiveOptions) buffer() int {
-	if o.Buffer <= 0 {
-		return 1 << 16
-	}
-	return o.Buffer
 }
 
 // LivePoint is one online progress sample: at model instant Elapsed the
@@ -193,7 +186,7 @@ func seconds(s float64) time.Duration {
 // structural events survive and the fold degrades by undercounting
 // recent finishes rather than by losing stage boundaries.
 func Follow(stream *obs.Stream, in *Indicator, opt LiveOptions) <-chan LivePoint {
-	sub := stream.SubscribeWith(opt.buffer(), obs.DropNewest)
+	sub := stream.SubscribeWith(followBuffer, obs.DropNewest)
 	out := make(chan LivePoint, 16)
 	tr := NewTracker(in, opt)
 	go func() {

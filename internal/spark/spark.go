@@ -40,12 +40,6 @@ type Stage struct {
 	// CPUCost is unit-cost compute per input byte of the fused pipeline
 	// (1.0 ≈ a plain scan).
 	CPUCost float64
-	// Partitions is the stage's task count; 0 derives it from the input
-	// (one task per 128 MB).
-	Partitions int
-	// CacheOutput marks stages whose output is persisted (adds a storage
-	// write like an HDFS materialization with one replica).
-	CacheOutput bool
 }
 
 // Lineage is a Spark job: a DAG of stages. The last stages (those nobody
@@ -139,10 +133,7 @@ func Translate(l *Lineage) (*dag.Workflow, error) {
 		if cpu == 0 {
 			cpu = 1
 		}
-		partitions := s.Partitions
-		if partitions <= 0 {
-			partitions = int(in/(128*units.MB)) + 1
-		}
+		partitions := int(in/(128*units.MB)) + 1 // one task per 128 MB
 
 		p := workload.JobProfile{
 			Name:            l.Name + "/" + string(s.ID),
@@ -164,9 +155,6 @@ func Translate(l *Lineage) (*dag.Workflow, error) {
 		default:
 			// Terminal stage: action result (collect/save).
 			p.ReduceTasks = 0
-			if s.CacheOutput {
-				p.Replicas = 1
-			}
 		}
 
 		job := dag.Job{ID: string(s.ID), Profile: p}

@@ -126,15 +126,6 @@ func TestPartitionsDeriveFromInput(t *testing.T) {
 	if got < 8 || got > 10 {
 		t.Errorf("derived %d partitions for 1 GB, want ≈ 9", got)
 	}
-	// Explicit partition counts are honoured.
-	l.Stages[0].Partitions = 4
-	w, err = Translate(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := w.Jobs[0].Profile.MapTasks(); got != 4 {
-		t.Errorf("explicit partitions = %d, want 4", got)
-	}
 }
 
 func TestReducePartitionsClamped(t *testing.T) {
